@@ -9,12 +9,8 @@ is asserted *bitwise* identical to the single-engine reference — served
 values, send masks, message counts — before any timing is trusted, so the
 shard count is a pure wall-clock knob.
 
-Every shard count is measured once per transport: ``"shm"`` (the
-default — zero-copy shared-memory segments, only header tuples cross the
-pipe) and ``"pickle"`` (the legacy serialize-everything path, kept as
-the spawn-safe fallback and as this table's own control).  The shm
-column is the headline; the pickle column shows what the zero-copy
-dispatch bought.
+Dispatch is zero-copy: shared-memory segments hold every array and only
+header tuples cross the pipe.
 
 The speedup acceptance gate only fires on machines with enough cores
 (and never in quick mode): on a starved box the honest result is a
@@ -33,7 +29,7 @@ from repro.core.manager import FleetEngine
 from repro.experiments.figures import ExperimentTable
 from repro.experiments.quickmode import QUICK, q
 from repro.kalman import models
-from repro.parallel import TRANSPORT_KINDS, ShardedFleetRuntime
+from repro.parallel import ShardedFleetRuntime
 
 N_STREAMS = q(4096, 256)
 N_TICKS = q(40, 20)
@@ -70,7 +66,7 @@ def _gate_skip_reason() -> str | None:
     return None
 
 
-def shard_scaling_table() -> tuple[ExperimentTable, dict[str, dict[int, float]]]:
+def shard_scaling_table() -> tuple[ExperimentTable, dict[int, float]]:
     model_list, values = _build_fleet(N_STREAMS, N_TICKS)
     deltas = np.full(N_STREAMS, DELTA)
 
@@ -86,39 +82,30 @@ def shard_scaling_table() -> tuple[ExperimentTable, dict[str, dict[int, float]]]
             f"(single batch engine: {single_s * 1e3:.0f} ms, host cores: "
             f"{os.cpu_count()})"
         ),
-        headers=[
-            "shards", "workers", "transport", "wall ms", "speedup",
-            "messages", "equal",
-        ],
+        headers=["shards", "workers", "wall ms", "speedup", "messages", "equal"],
     )
-    speedups: dict[str, dict[int, float]] = {t: {} for t in TRANSPORT_KINDS}
+    speedups: dict[int, float] = {}
     for n_shards in SHARD_GRID:
-        for transport in TRANSPORT_KINDS:
-            with ShardedFleetRuntime(
-                model_list,
-                deltas,
-                n_shards=n_shards,
-                executor="process",
-                transport=transport,
-            ) as runtime:
-                t0 = time.perf_counter()
-                trace = runtime.run(values)
-                wall_s = time.perf_counter() - t0
-            np.testing.assert_array_equal(trace.served, reference.served)
-            np.testing.assert_array_equal(trace.sent, reference.sent)
-            assert int(trace.sent.sum()) == ref_messages
-            speedups[transport][n_shards] = single_s / wall_s
-            table.rows.append(
-                [
-                    n_shards,
-                    runtime.max_workers,
-                    transport,
-                    round(wall_s * 1e3, 1),
-                    round(speedups[transport][n_shards], 2),
-                    ref_messages,
-                    "bitwise",
-                ]
-            )
+        with ShardedFleetRuntime(
+            model_list, deltas, n_shards=n_shards, executor="process"
+        ) as runtime:
+            t0 = time.perf_counter()
+            trace = runtime.run(values)
+            wall_s = time.perf_counter() - t0
+        np.testing.assert_array_equal(trace.served, reference.served)
+        np.testing.assert_array_equal(trace.sent, reference.sent)
+        assert int(trace.sent.sum()) == ref_messages
+        speedups[n_shards] = single_s / wall_s
+        table.rows.append(
+            [
+                n_shards,
+                runtime.max_workers,
+                round(wall_s * 1e3, 1),
+                round(speedups[n_shards], 2),
+                ref_messages,
+                "bitwise",
+            ]
+        )
     skip = _gate_skip_reason()
     if skip is not None:
         table.notes.append(f"speedup gate skipped: {skip}")
@@ -131,16 +118,10 @@ def test_table6_shard_scaling(benchmark, record_result):
     skip_reason = _gate_skip_reason()
     if skip_reason is None:
         # Acceptance (only meaningful with real parallel hardware): four
-        # workers cut the N=4096 run at least in half on the default
-        # zero-copy transport.
-        assert speedups["shm"][4] >= 2.0, speedups
+        # workers cut the N=4096 run at least in half.
+        assert speedups[4] >= 2.0, speedups
     headline = {
-        # Headline key stays the default transport's curve so committed
-        # baselines compare like-for-like across revisions.
-        "speedups": {str(n): round(s, 3) for n, s in speedups["shm"].items()},
-        "speedups_pickle": {
-            str(n): round(s, 3) for n, s in speedups["pickle"].items()
-        },
+        "speedups": {str(n): round(s, 3) for n, s in speedups.items()},
         "speedup_gate_active": skip_reason is None,
     }
     if skip_reason is not None:
@@ -153,8 +134,7 @@ def test_table6_shard_scaling(benchmark, record_result):
             "n_ticks": N_TICKS,
             "shard_grid": list(SHARD_GRID),
             "delta": DELTA,
-            "cpu_count": cores,
-            "transports": list(TRANSPORT_KINDS),
+            "host_cores": cores,
         },
         headline=headline,
     )

@@ -29,6 +29,7 @@ from repro.core.allocation import (
 from repro.core.fusion import FusedEstimate, FusedView, fuse
 from repro.core.manager import (
     DynamicFleetResult,
+    Engine,
     EpochReport,
     FleetEngine,
     FleetResult,
@@ -40,6 +41,7 @@ from repro.core.manager import (
     SupervisedStreamReport,
 )
 from repro.core.model_bank import ModelBankSelector
+from repro.core.reference import PolicyLoopEngine
 from repro.core.nonlinear import EkfPredictor, EkfSuppressionPolicy, RangeBearingBound
 from repro.core.policy_base import (
     MirroredPredictorPolicy,
@@ -132,8 +134,10 @@ __all__ = [
     "allocate_equal_rate",
     "allocate_waterfilling",
     "allocate_scipy",
+    "Engine",
     "FleetEngine",
     "FleetTrace",
+    "PolicyLoopEngine",
     "ManagedStream",
     "StreamReport",
     "FleetResult",

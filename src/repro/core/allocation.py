@@ -282,22 +282,52 @@ def allocate_scipy(
     a = np.array([c.a for c in curves])
     b = np.array([c.b for c in curves])
 
-    def objective(d: np.ndarray) -> float:
-        return float(np.sum(w * d))
+    # Solve in u = log δ with analytic Jacobians.  Both the objective
+    # Σ w·e^u and the spend Σ a·e^(-b·u) are sums of exponentials there, so
+    # the problem is convex and every variable is O(1) however many
+    # decades δ spans — in raw δ with finite-difference gradients SLSQP's
+    # line search stalls ("positive directional derivative") on
+    # well-posed fleets with newer scipy builds.
+    def objective(u: np.ndarray) -> float:
+        return float(np.sum(w * np.exp(u)))
 
-    def constraint(d: np.ndarray) -> float:
-        return budget - float(np.sum(a * np.clip(d, lo, hi) ** (-b)))
+    def objective_jac(u: np.ndarray) -> np.ndarray:
+        return w * np.exp(u)
+
+    def constraint(u: np.ndarray) -> float:
+        return budget - float(np.sum(a * np.exp(-b * u)))
+
+    def constraint_jac(u: np.ndarray) -> np.ndarray:
+        return a * b * np.exp(-b * u)
 
     x0 = allocate_equal_rate(curves, budget).deltas
-    x0 = np.clip(x0, lo, hi)
     result = optimize.minimize(
         objective,
-        x0,
+        np.log(np.clip(x0, lo, hi)),
+        jac=objective_jac,
         method="SLSQP",
-        bounds=[(lo, hi)] * k,
-        constraints=[{"type": "ineq", "fun": constraint}],
+        bounds=[(np.log(lo), np.log(hi))] * k,
+        constraints=[{"type": "ineq", "fun": constraint, "jac": constraint_jac}],
         options={"maxiter": 500, "ftol": 1e-12},
     )
     if not result.success:
-        raise AllocationError(f"SLSQP failed: {result.message}")
-    return _finish(curves, np.clip(result.x, lo, hi), "scipy")
+        # With ftol=1e-12 the line search can run out of representable
+        # descent *at* the optimum and report failure.  Accept the iterate
+        # iff it meets the KKT conditions to 1e-6: the budget is spent
+        # exactly (the multiplier is positive, so the constraint must be
+        # active), every box-interior stream has the same marginal price
+        # ∂objective/∂spend, and box-pinned streams sit on the right side
+        # of that price.
+        tol, u = 1e-6, result.x
+        prices = objective_jac(u) / constraint_jac(u)
+        at_lo, at_hi = u <= np.log(lo) + tol, u >= np.log(hi) - tol
+        inner = ~(at_lo | at_hi)
+        price = np.median(prices[inner]) if inner.any() else np.nan
+        if not (
+            abs(constraint(u)) <= tol * budget
+            and np.all(np.abs(prices[inner] / price - 1.0) <= tol)
+            and np.all(prices[at_lo] >= price * (1.0 - tol))
+            and np.all(prices[at_hi] <= price * (1.0 + tol))
+        ):
+            raise AllocationError(f"SLSQP failed: {result.message}")
+    return _finish(curves, np.clip(np.exp(result.x), lo, hi), "scipy")

@@ -14,10 +14,14 @@ a resource constraint* — over a fleet of heterogeneous streams:
 Streams are replayed from recordings so every allocation strategy faces the
 exact same data (paired comparison).
 
-Two execution backends drive the probe and main phases:
+Every phase drives exactly one *engine* (see :class:`Engine`); the
+``backend`` knob only picks which one :meth:`StreamResourceManager._make_engine`
+builds:
 
 * ``backend="scalar"`` — the reference implementation: one Python-loop
-  :class:`~repro.core.session.DualKalmanPolicy` per stream.
+  :class:`~repro.core.session.DualKalmanPolicy` per stream, wrapped as a
+  :class:`~repro.core.reference.PolicyLoopEngine`.  The oracle the other
+  two are pinned against, and the only one that runs ``adaptive=True``.
 * ``backend="batch"`` — the :class:`FleetEngine` fast path: the whole
   fleet is stepped per tick on a
   :class:`~repro.kalman.batch.BatchKalmanFilter`, with dead-band
@@ -27,7 +31,7 @@ Two execution backends drive the probe and main phases:
   ``benchmarks/bench_table5_fleet_scaling.py``).
 * ``backend="sharded"`` — the batch engine partitioned across executor
   workers by a :class:`~repro.parallel.runtime.ShardedFleetRuntime`:
-  each shard runs its own batch engine in a process (or thread/serial)
+  each shard runs its own batch engine in a process (or serial)
   worker, the budget allocator stays *global* (one multiplier across all
   shards, re-balanced every dynamic epoch), and merged results are
   bitwise-equal to ``backend="batch"`` (pinned by ``tests/parallel``).
@@ -38,10 +42,10 @@ Two execution backends drive the probe and main phases:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
-from repro.core.adaptive import AdaptationPolicy
 from repro.core.allocation import (
     Allocation,
     RateCurve,
@@ -53,10 +57,12 @@ from repro.core.allocation import (
 )
 from repro.core.precision import AbsoluteBound
 from repro.core.protocol import HEADER_BYTES
-from repro.core.session import DualKalmanPolicy, SupervisedSession
+from repro.core.session import SupervisedSession
 from repro.core.supervision import RecoveryStats, SupervisionConfig
-from repro.errors import AllocationError, ConfigurationError
+from repro.durability.engine import checkpoint_engine, recover_engine
+from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.kalman.batch import BatchKalmanFilter
+from repro.kalman.kernels import resolve_kernel
 from repro.kalman.models import ProcessModel
 from repro.kalman.sketch import SketchConfig
 from repro.obs import tracing
@@ -72,6 +78,7 @@ __all__ = [
     "DynamicFleetResult",
     "SupervisedStreamReport",
     "SupervisedFleetResult",
+    "Engine",
     "FleetEngine",
     "FleetTrace",
     "StreamResourceManager",
@@ -85,6 +92,16 @@ _ALLOCATORS = {
     "waterfilling": allocate_waterfilling,
     "scipy": allocate_scipy,
 }
+
+
+def _allocator(method: str):
+    try:
+        return _ALLOCATORS[method]
+    except KeyError:
+        raise AllocationError(
+            f"unknown allocation method {method!r}; "
+            f"expected one of {sorted(_ALLOCATORS)}"
+        ) from None
 
 
 @dataclass
@@ -277,15 +294,66 @@ class FleetTrace:
             stream's measurement dimension and NaN before warm-up — the
             batched analogue of ``TickOutcome.estimate`` per tick.
         sent: ``(T, N)`` boolean; True where a measurement update went out.
+        messages: ``(N,)`` messages per stream when that is more than the
+            update count — the reference engine's adaptive policies also
+            ship procedure switches.  ``None`` means "exactly ``sent``".
     """
 
     served: np.ndarray
     sent: np.ndarray
+    messages: np.ndarray | None = None
 
     @property
     def messages_per_stream(self) -> np.ndarray:
-        """Measurement updates sent per stream over the traced window."""
-        return self.sent.sum(axis=0)
+        """Messages sent per stream over the traced window."""
+        return self.sent.sum(axis=0) if self.messages is None else self.messages
+
+
+class Engine(Protocol):
+    """What the manager (and the durability layer) asks of a fleet engine.
+
+    Three classes implement it: :class:`FleetEngine` (vectorized),
+    :class:`~repro.parallel.runtime.ShardedFleetRuntime` (the same,
+    partitioned across workers) and
+    :class:`~repro.core.reference.PolicyLoopEngine` (one scalar policy
+    per stream — the oracle).  Filter state persists across :meth:`run`
+    calls; only the bounds change in between.
+    """
+
+    def set_deltas(self, deltas: np.ndarray) -> None:
+        """Install new per-stream bounds (global fleet order)."""
+
+    def run(self, values: np.ndarray) -> FleetTrace:
+        """Advance the fleet through a ``(T, N, dim_z_max)`` value matrix."""
+
+    def state_snapshot(self) -> dict:
+        """Everything :meth:`restore_state` needs, as a held-safe copy."""
+
+    def restore_state(self, snapshot: dict) -> None:
+        """Resume from a :meth:`state_snapshot` with bitwise continuation."""
+
+    def close(self) -> None:
+        """Release workers and shared memory, if any (idempotent)."""
+
+
+def _validated_values(values: np.ndarray, n: int) -> np.ndarray:
+    """``values`` as a float ``(T, n, dim_z_max)`` array, or raise."""
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 3 or values.shape[1] != n:
+        raise ConfigurationError(
+            f"values must have shape (T, {n}, dim_z_max), got {values.shape}"
+        )
+    return values
+
+
+def _validated_deltas(deltas: np.ndarray, n: int) -> np.ndarray:
+    """``deltas`` as an ``(n,)`` float array of positive bounds, or raise."""
+    deltas = np.asarray(deltas, dtype=float).reshape(-1)
+    if deltas.shape != (n,):
+        raise ConfigurationError(f"deltas must have shape ({n},), got {deltas.shape}")
+    if np.any(deltas <= 0):
+        raise ConfigurationError("all per-stream deltas must be positive")
+    return deltas
 
 
 class FleetEngine:
@@ -304,8 +372,8 @@ class FleetEngine:
     * pre-warm-up ticks serve nothing (NaN).
 
     Only the non-adaptive fixed-bound configuration is supported — exactly
-    what the manager's probe and main phases run; adaptive policies, lossy
-    channels and supervision stay on the scalar path.
+    what the manager's probe and main phases run; adaptive policies stay
+    on the reference engine, lossy channels and supervision on sessions.
 
     Args:
         models: One process model per stream.
@@ -374,14 +442,10 @@ class FleetEngine:
 
     def set_deltas(self, deltas: np.ndarray) -> None:
         """Install new per-stream bounds (used between dynamic epochs)."""
-        deltas = np.asarray(deltas, dtype=float).reshape(-1)
-        if deltas.shape != (self.n,):
-            raise ConfigurationError(
-                f"deltas must have shape ({self.n},), got {deltas.shape}"
-            )
-        if np.any(deltas <= 0):
-            raise ConfigurationError("all per-stream deltas must be positive")
-        self.deltas = deltas
+        self.deltas = _validated_deltas(deltas, self.n)
+
+    def close(self) -> None:
+        """Nothing to release — the in-process side of :meth:`Engine.close`."""
 
     def state_snapshot(self) -> dict:
         """Picklable snapshot of every piece of mutable engine state.
@@ -405,12 +469,7 @@ class FleetEngine:
                 np.array(self.filters.P_of(i), dtype=float, copy=True)
                 for i in range(self.n)
             ],
-            "warm": self.warm.copy(),
-            "messages": self.messages.copy(),
-            "ticks": self.ticks,
-            "n_predicts": self.filters.n_predicts.copy(),
-            "n_updates": self.filters.n_updates.copy(),
-            "n_censored": self.filters.n_censored.copy(),
+            **self._accounting(),
         }
 
     def restore_state(self, snapshot: dict) -> None:
@@ -421,18 +480,7 @@ class FleetEngine:
             )
         for i, (x, p) in enumerate(zip(snapshot["x"], snapshot["P"])):
             self.filters.set_state(i, x, p)
-        self.warm = np.asarray(snapshot["warm"], dtype=bool).copy()
-        self.messages = np.asarray(snapshot["messages"], dtype=int).copy()
-        self.ticks = int(snapshot["ticks"])
-        self.filters.n_predicts = np.asarray(snapshot["n_predicts"], dtype=int).copy()
-        self.filters.n_updates = np.asarray(snapshot["n_updates"], dtype=int).copy()
-        # Checkpoints written before censoring existed omit the counter.
-        n_censored = snapshot.get("n_censored")
-        self.filters.n_censored = (
-            np.zeros(self.n, dtype=int)
-            if n_censored is None
-            else np.asarray(n_censored, dtype=int).copy()
-        )
+        self._restore_accounting(snapshot)
 
     def packed_state(self) -> dict:
         """Mutable engine state as fixed-shape, fleet-indexed arrays.
@@ -449,16 +497,7 @@ class FleetEngine:
         way back out).
         """
         x, P = self.filters.packed_states()
-        return {
-            "x": x,
-            "P": P,
-            "warm": self.warm.copy(),
-            "messages": self.messages.copy(),
-            "ticks": self.ticks,
-            "n_predicts": self.filters.n_predicts.copy(),
-            "n_updates": self.filters.n_updates.copy(),
-            "n_censored": self.filters.n_censored.copy(),
-        }
+        return {"x": x, "P": P, **self._accounting()}
 
     def restore_packed(self, state: dict) -> None:
         """Resume from a :meth:`packed_state` dict (exact, bitwise).
@@ -468,11 +507,26 @@ class FleetEngine:
         caller's storage.
         """
         self.filters.set_packed_states(state["x"], state["P"])
+        self._restore_accounting(state)
+
+    def _accounting(self) -> dict:
+        """The non-filter half of both state formats (copies)."""
+        return {
+            "warm": self.warm.copy(),
+            "messages": self.messages.copy(),
+            "ticks": self.ticks,
+            "n_predicts": self.filters.n_predicts.copy(),
+            "n_updates": self.filters.n_updates.copy(),
+            "n_censored": self.filters.n_censored.copy(),
+        }
+
+    def _restore_accounting(self, state: dict) -> None:
         self.warm = np.asarray(state["warm"], dtype=bool).copy()
         self.messages = np.asarray(state["messages"], dtype=int).copy()
         self.ticks = int(state["ticks"])
         self.filters.n_predicts = np.asarray(state["n_predicts"], dtype=int).copy()
         self.filters.n_updates = np.asarray(state["n_updates"], dtype=int).copy()
+        # Checkpoints written before censoring existed omit the counter.
         n_censored = state.get("n_censored")
         self.filters.n_censored = (
             np.zeros(self.n, dtype=int)
@@ -553,12 +607,7 @@ class FleetEngine:
                 engine knowing about it.  The rows are views into the
                 trace; callbacks must not mutate them.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != self.n:
-            raise ConfigurationError(
-                f"values must have shape (T, {self.n}, dim_z_max), "
-                f"got {values.shape}"
-            )
+        values = _validated_values(values, self.n)
         n_ticks = values.shape[0]
         served = np.empty_like(values)
         sent = np.zeros((n_ticks, self.n), dtype=bool)
@@ -673,7 +722,7 @@ class StreamResourceManager:
             probe sensible ranges.  The grid should overlap the bounds the
             allocator will pick: power-law fits extrapolate poorly from the
             saturated small-delta regime into the sparse large-delta one.
-        probe_ticks: Prefix length used for probing.
+        probe_ticks: Prefix length used for probing (at least 1).
         adaptive: Whether main-phase policies carry online adaptation.
         backend: ``"scalar"`` (reference, one policy loop per stream),
             ``"batch"`` (the :class:`FleetEngine` fast path; numerically
@@ -682,24 +731,18 @@ class StreamResourceManager:
             :class:`~repro.parallel.runtime.ShardedFleetRuntime` workers;
             bitwise-equal to batch, requires ``adaptive=False``).  Probe,
             main and dynamic phases honour the knob; supervised runs
-            always use the scalar path (faults and supervision are
+            always run per-stream sessions (faults and supervision are
             per-stream stateful).
         n_shards: Shard count for ``backend="sharded"`` (clamped to the
             fleet size; default 4).  Ignored by other backends.
         shard_executor: Executor kind for ``backend="sharded"``:
-            ``"process"`` (CPU-bound main runs), ``"thread"`` or
-            ``"serial"`` (tests and strict determinism).
-        shard_transport: How ``backend="sharded"`` ships arrays between
-            coordinator and workers: ``"shm"`` (default; zero-copy
-            ``multiprocessing.shared_memory`` buffers, only small header
-            tuples cross the pipe) or ``"pickle"`` (the legacy
-            serialize-everything path, kept for comparison and as the
-            T6 per-transport baseline).  Results are bitwise-equal
-            either way.  Ignored by other backends.
+            ``"process"`` (CPU-bound main runs) or ``"serial"`` (tests
+            and strict determinism).  Validated for every backend.
         kernel: Compute kernel for the batch filter hot loop on the
             ``"batch"`` and ``"sharded"`` backends — ``"numpy"``
             (default), ``"numba"`` (opt-in; clean numpy fallback when
-            numba is absent) or ``"auto"``.  Ignored by ``"scalar"``.
+            numba is absent) or ``"auto"``.  Validated for every backend,
+            ignored by ``"scalar"``.
         sketch: Optional :class:`~repro.kalman.sketch.SketchConfig` for
             sketched measurement updates on the ``"batch"`` and
             ``"sharded"`` backends (see :mod:`repro.kalman.sketch`).
@@ -728,12 +771,15 @@ class StreamResourceManager:
         backend: str = "scalar",
         n_shards: int = 4,
         shard_executor: str = "process",
-        shard_transport: str = "shm",
         kernel: str = "numpy",
         sketch: SketchConfig | None = None,
         censor_threshold: float = 0.0,
         telemetry=None,
     ):
+        # Imported lazily: repro.parallel imports FleetEngine from this
+        # module at import time.
+        from repro.parallel.executors import EXECUTOR_KINDS
+
         if not streams:
             raise ConfigurationError("the fleet must contain at least one stream")
         ids = [s.stream_id for s in streams]
@@ -741,6 +787,8 @@ class StreamResourceManager:
             raise ConfigurationError(f"duplicate stream ids in fleet: {ids}")
         if len(probe_deltas_rel) < 2:
             raise ConfigurationError("need at least two probe deltas")
+        if probe_ticks < 1:
+            raise ConfigurationError(f"probe_ticks must be >= 1, got {probe_ticks!r}")
         if backend not in _BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; expected one of {_BACKENDS}"
@@ -752,6 +800,12 @@ class StreamResourceManager:
             )
         if n_shards < 1:
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards!r}")
+        if shard_executor not in EXECUTOR_KINDS:
+            raise ConfigurationError(
+                f"unknown shard_executor {shard_executor!r}; "
+                f"expected one of {EXECUTOR_KINDS}"
+            )
+        resolve_kernel(kernel)  # raises on an unknown name, whatever the backend
         if backend == "scalar" and (
             sketch is not None or float(censor_threshold) != 0.0
         ):
@@ -769,7 +823,6 @@ class StreamResourceManager:
         self.backend = backend
         self.n_shards = n_shards
         self.shard_executor = shard_executor
-        self.shard_transport = shard_transport
         self.kernel = kernel
         self.sketch = sketch
         self.censor_threshold = float(censor_threshold)
@@ -781,16 +834,31 @@ class StreamResourceManager:
     def _dim_z_max(self) -> int:
         return max(m.model.dim_z for m in self.streams)
 
-    def _make_engine(self, models: list[ProcessModel], deltas: np.ndarray):
-        """Build the non-scalar fleet engine the backend knob selects.
+    def _make_engine(
+        self, models: list[ProcessModel], deltas: np.ndarray, detached: bool = False
+    ) -> Engine:
+        """Build the one engine the backend knob selects.
 
-        Both engines share the :class:`FleetEngine` surface the phases
-        use (``set_deltas`` / ``run``); sharded engines additionally grow
-        a ``close()`` that callers invoke when the phase is done.
+        The only place ``backend`` steers execution.  ``detached=True``
+        builds the in-process stand-in a staged recovery rehydrates a
+        checkpoint into *before* the live engine is touched: same state
+        format, no worker pool, no telemetry.
         """
-        if self.backend == "sharded":
-            # Imported lazily: repro.parallel.runtime imports FleetEngine
-            # from this module at import time.
+        tel = None if detached else self._tel
+        if self.backend == "scalar":
+            # Imported lazily (as is the sharded runtime below): both
+            # modules import FleetTrace from this one at import time.
+            from repro.core.reference import PolicyLoopEngine
+
+            return PolicyLoopEngine(
+                models, deltas, adaptive=self.adaptive, telemetry=tel
+            )
+        approx = dict(
+            kernel=self.kernel,
+            sketch=self.sketch,
+            censor_threshold=self.censor_threshold,
+        )
+        if self.backend == "sharded" and not detached:
             from repro.parallel.runtime import ShardedFleetRuntime
 
             return ShardedFleetRuntime(
@@ -798,20 +866,10 @@ class StreamResourceManager:
                 deltas,
                 n_shards=min(self.n_shards, len(models)),
                 executor=self.shard_executor,
-                transport=self.shard_transport,
-                kernel=self.kernel,
-                sketch=self.sketch,
-                censor_threshold=self.censor_threshold,
-                telemetry=self._tel,
+                telemetry=tel,
+                **approx,
             )
-        return FleetEngine(
-            models,
-            deltas,
-            telemetry=self._tel,
-            kernel=self.kernel,
-            sketch=self.sketch,
-            censor_threshold=self.censor_threshold,
-        )
+        return FleetEngine(models, deltas, telemetry=tel, **approx)
 
     # ------------------------------------------------------------------
     # Phase 1-2: probe and fit
@@ -819,9 +877,10 @@ class StreamResourceManager:
     def probe(self) -> list[RateCurve]:
         """Measure rate curves on each stream's probe prefix (cached).
 
-        On the batch backend all ``n_streams x n_probe_deltas`` probe runs
-        are stacked into one virtual fleet and stepped together — probing
-        cost no longer grows with a Python loop per (stream, δ) cell.
+        All ``n_streams x n_probe_deltas`` probe runs are stacked into one
+        virtual fleet and driven through one engine — on the vectorized
+        backends probing cost no longer grows with a Python loop per
+        (stream, δ) cell.
         """
         if self._curves is not None:
             return self._curves
@@ -836,53 +895,31 @@ class StreamResourceManager:
                 )
             probe_readings.append(readings)
             scales.append(_stream_scale(readings))
-        with self._tel.span("probe"):
-            if self.backend != "scalar":
-                curves = self._probe_batch(probe_readings, scales)
-            else:
-                curves = self._probe_scalar(probe_readings, scales)
-        self._curves = curves
-        self._scales = scales
-        return curves
-
-    def _probe_scalar(
-        self, probe_readings: list[list[Reading]], scales: list[float]
-    ) -> list[RateCurve]:
-        curves: list[RateCurve] = []
-        for managed, readings, scale in zip(self.streams, probe_readings, scales):
-            deltas, rates = [], []
-            for rel in self.probe_deltas_rel:
-                delta = rel * scale
-                policy = self._make_policy(managed.model, delta)
-                sent = sum(policy.tick(r).sent for r in readings)
-                deltas.append(delta)
-                # Zero-message probes break the log fit; floor at one
-                # message over the probe window.
-                rates.append(max(sent, 1) / len(readings))
-            curves.append(RateCurve.fit(np.array(deltas), np.array(rates)))
-        return curves
-
-    def _probe_batch(
-        self, probe_readings: list[list[Reading]], scales: list[float]
-    ) -> list[RateCurve]:
         rels = self.probe_deltas_rel
         n_rel = len(rels)
-        values, _ = _stack_fleet(probe_readings, self._dim_z_max)
-        # Virtual fleet: stream k probed at bound j lives at index k*n_rel+j,
-        # so each stream's value column is repeated n_rel times in place.
-        models = [m.model for m in self.streams for _ in rels]
-        deltas = np.array([rel * scale for scale in scales for rel in rels])
-        engine = self._make_engine(models, deltas)
-        try:
-            trace = engine.run(np.repeat(values, n_rel, axis=1))
-        finally:
-            getattr(engine, "close", lambda: None)()
-        sent = trace.messages_per_stream.reshape(len(self.streams), n_rel)
-        curves: list[RateCurve] = []
-        for k, (readings, scale) in enumerate(zip(probe_readings, scales)):
-            probe_deltas = np.array([rel * scale for rel in rels])
-            rates = np.maximum(sent[k], 1) / len(readings)
-            curves.append(RateCurve.fit(probe_deltas, rates))
+        with self._tel.span("probe"):
+            values, _ = _stack_fleet(probe_readings, self._dim_z_max)
+            # Virtual fleet: stream k probed at bound j lives at index
+            # k*n_rel+j, so each stream's value column is repeated n_rel
+            # times in place.
+            engine = self._make_engine(
+                [m.model for m in self.streams for _ in rels],
+                np.array([rel * scale for scale in scales for rel in rels]),
+            )
+            try:
+                trace = engine.run(np.repeat(values, n_rel, axis=1))
+            finally:
+                engine.close()
+            sent = trace.messages_per_stream.reshape(len(self.streams), n_rel)
+            curves: list[RateCurve] = []
+            for k, scale in enumerate(scales):
+                probe_deltas = np.array([rel * scale for rel in rels])
+                # Zero-message probes break the log fit; floor at one
+                # message over the probe window.
+                rates = np.maximum(sent[k], 1) / self.probe_ticks
+                curves.append(RateCurve.fit(probe_deltas, rates))
+        self._curves = curves
+        self._scales = scales
         return curves
 
     @property
@@ -898,14 +935,14 @@ class StreamResourceManager:
     # ------------------------------------------------------------------
     def allocate(self, budget: float, method: str = "waterfilling") -> Allocation:
         """Per-stream bounds for a fleet-wide message budget (msgs/tick)."""
-        try:
-            allocator = _ALLOCATORS[method]
-        except KeyError:
-            raise AllocationError(
-                f"unknown allocation method {method!r}; "
-                f"expected one of {sorted(_ALLOCATORS)}"
-            ) from None
-        curves = self.probe()
+        _allocator(method)  # an unknown method fails before paying for a probe
+        return self._solve(self.probe(), budget, method)
+
+    def _solve(
+        self, curves: list[RateCurve], budget: float, method: str
+    ) -> Allocation:
+        """One allocation solve over ``curves`` (probed or re-anchored)."""
+        allocator = _allocator(method)
         with self._tel.span("allocation_solve"):
             if method in ("waterfilling", "scipy"):
                 # Weight imprecision by stream importance and normalize by
@@ -923,15 +960,10 @@ class StreamResourceManager:
     # ------------------------------------------------------------------
     # Phase 4: run
     # ------------------------------------------------------------------
-    def run(
-        self,
-        budget: float,
-        method: str = "waterfilling",
-        run_ticks: int | None = None,
-    ) -> FleetResult:
-        """Execute the main phase under the allocated bounds."""
-        allocation = self.allocate(budget, method)
-        result = FleetResult(method=method, budget=budget, allocation=allocation)
+    def _main_readings(self, run_ticks: int | None) -> list[list[Reading]]:
+        """Each stream's main-phase readings (everything after the probe)."""
+        if run_ticks is not None and run_ticks <= 0:
+            raise ConfigurationError(f"run_ticks must be positive, got {run_ticks!r}")
         readings_per_stream: list[list[Reading]] = []
         for managed in self.streams:
             readings = managed.recording.readings[self.probe_ticks :]
@@ -943,72 +975,45 @@ class StreamResourceManager:
                     "main phase; record more ticks"
                 )
             readings_per_stream.append(readings)
+        return readings_per_stream
+
+    def run(
+        self,
+        budget: float,
+        method: str = "waterfilling",
+        run_ticks: int | None = None,
+    ) -> FleetResult:
+        """Execute the main phase under the allocated bounds."""
+        readings_per_stream = self._main_readings(run_ticks)
+        allocation = self.allocate(budget, method)
+        result = FleetResult(method=method, budget=budget, allocation=allocation)
         tel = self._tel
         if tel.enabled:
             tel.set_gauge("repro_fleet_size", len(self.streams))
             tel.set_gauge("repro_fleet_budget", budget)
         with tel.span("main_run"):
-            if self.backend != "scalar":
-                self._run_batch(result, allocation, readings_per_stream)
-            else:
-                self._run_scalar(result, allocation, readings_per_stream)
-        return result
-
-    def _run_scalar(
-        self,
-        result: FleetResult,
-        allocation: Allocation,
-        readings_per_stream: list[list[Reading]],
-    ) -> None:
-        for managed, delta, readings in zip(
-            self.streams, allocation.deltas, readings_per_stream
-        ):
-            policy = self._make_policy(managed.model, float(delta))
-            abs_errors = []
-            for reading in readings:
-                outcome = policy.tick(reading)
-                if outcome.estimate is not None and reading.truth is not None:
-                    abs_errors.append(
-                        float(np.max(np.abs(outcome.estimate - reading.truth)))
+            values, truths = _stack_fleet(readings_per_stream, self._dim_z_max)
+            engine = self._make_engine(
+                [m.model for m in self.streams], np.asarray(allocation.deltas, float)
+            )
+            try:
+                trace = engine.run(values)
+            finally:
+                engine.close()
+            mean_err, max_err = _fleet_abs_errors(trace.served, truths)
+            messages = trace.messages_per_stream
+            for k, (managed, delta) in enumerate(zip(self.streams, allocation.deltas)):
+                result.reports.append(
+                    StreamReport(
+                        stream_id=managed.stream_id,
+                        delta=float(delta),
+                        messages=int(messages[k]),
+                        ticks=len(readings_per_stream[k]),
+                        mean_abs_error=float(mean_err[k]),
+                        max_abs_error=float(max_err[k]),
                     )
-            result.reports.append(
-                StreamReport(
-                    stream_id=managed.stream_id,
-                    delta=float(delta),
-                    messages=policy.stats.total_messages,
-                    ticks=len(readings),
-                    mean_abs_error=float(np.mean(abs_errors)) if abs_errors else np.nan,
-                    max_abs_error=float(np.max(abs_errors)) if abs_errors else np.nan,
                 )
-            )
-
-    def _run_batch(
-        self,
-        result: FleetResult,
-        allocation: Allocation,
-        readings_per_stream: list[list[Reading]],
-    ) -> None:
-        values, truths = _stack_fleet(readings_per_stream, self._dim_z_max)
-        engine = self._make_engine(
-            [m.model for m in self.streams], np.asarray(allocation.deltas, float)
-        )
-        try:
-            trace = engine.run(values)
-        finally:
-            getattr(engine, "close", lambda: None)()
-        mean_err, max_err = _fleet_abs_errors(trace.served, truths)
-        messages = trace.messages_per_stream
-        for k, (managed, delta) in enumerate(zip(self.streams, allocation.deltas)):
-            result.reports.append(
-                StreamReport(
-                    stream_id=managed.stream_id,
-                    delta=float(delta),
-                    messages=int(messages[k]),
-                    ticks=len(readings_per_stream[k]),
-                    mean_abs_error=float(mean_err[k]),
-                    max_abs_error=float(max_err[k]),
-                )
-            )
+        return result
 
     # ------------------------------------------------------------------
     # Supervised mode: the main phase under injected faults + recovery
@@ -1030,6 +1035,7 @@ class StreamResourceManager:
         per-stream :class:`~repro.core.supervision.RecoveryStats` are folded
         into the fleet-wide ``result.recovery``.
         """
+        readings_per_stream = self._main_readings(run_ticks)
         allocation = self.allocate(budget, method)
         result = SupervisedFleetResult(
             method=method,
@@ -1037,17 +1043,9 @@ class StreamResourceManager:
             scenario=plan.describe() if plan is not None else "fault-free",
             allocation=allocation,
         )
-        for idx, (managed, delta) in enumerate(
-            zip(self.streams, allocation.deltas)
+        for idx, (managed, delta, readings) in enumerate(
+            zip(self.streams, allocation.deltas, readings_per_stream)
         ):
-            readings = managed.recording.readings[self.probe_ticks :]
-            if run_ticks is not None:
-                readings = readings[:run_ticks]
-            if not readings:
-                raise ConfigurationError(
-                    f"stream {managed.stream_id!r} has no readings left for the "
-                    "main phase; record more ticks"
-                )
             stream_plan = (
                 plan.with_seed(plan.seed + idx) if plan is not None else None
             )
@@ -1114,7 +1112,7 @@ class StreamResourceManager:
                 rate point (0 = never adapt, 1 = jump to the observation).
             checkpoint_store: Optional
                 :class:`~repro.durability.store.CheckpointStore`; when
-                given, a durable checkpoint (engine/policy state + the
+                given, a durable checkpoint (engine state + the
                 re-anchored curves) is committed every
                 ``checkpoint_every`` epochs.  All three backends are
                 supported; adaptive scalar fleets are refused because
@@ -1154,57 +1152,41 @@ class StreamResourceManager:
             raise ConfigurationError(
                 "recordings too short for even one epoch after probing"
             )
-        allocator = _ALLOCATORS.get(method)
-        if allocator is None:
-            raise AllocationError(
-                f"unknown allocation method {method!r}; "
-                f"expected one of {sorted(_ALLOCATORS)}"
-            )
-        policies = (
-            {m.stream_id: self._make_policy(m.model, 1.0) for m in self.streams}
-            if self.backend == "scalar"
-            else None
-        )
-        # The batch/sharded engine persists across epochs exactly like the
-        # policy dict: only the bounds change between epochs, never filter
-        # state (the sharded runtime keeps every shard's state coordinator
-        # side between dispatches, so epochs resume seamlessly).
-        engine = (
-            self._make_engine(
-                [m.model for m in self.streams], np.ones(len(self.streams))
-            )
-            if self.backend != "scalar"
-            else None
-        )
+        _allocator(method)
+        models = [m.model for m in self.streams]
+        # What a checkpoint must agree on to be resumable by this run.
+        identity = {
+            "backend": self.backend,
+            "method": method,
+            "epoch_ticks": int(epoch_ticks),
+            "stream_ids": [m.stream_id for m in self.streams],
+        }
+        # The engine persists across epochs: only the bounds change between
+        # them, never filter state (the sharded runtime keeps every shard's
+        # state coordinator side between dispatches, so epochs resume
+        # seamlessly).
+        engine = self._make_engine(models, np.ones(len(models)))
         result = DynamicFleetResult(method=method, budget=budget)
-        start_epoch = 0
-        recovered_until = 0
-        if resume:
-            report, start_epoch, recovered_until = self._resume_dynamic(
-                checkpoint_store, curves, policies, engine, method, epoch_ticks
-            )
-            result.recovery = report
-            result.resumed_from_epoch = start_epoch
-        weights = np.array(
-            [m.weight / max(sc, 1e-12) for m, sc in zip(self.streams, self.scales)]
-        )
+        start_epoch = recovered_until = 0
         tel = self._tel
-        if tel.enabled:
-            tel.set_gauge("repro_fleet_size", len(self.streams))
-            tel.set_gauge("repro_fleet_budget", budget)
         try:
+            if resume:
+                result.recovery, start_epoch, recovered_until = self._resume_epochs(
+                    checkpoint_store, engine, curves, identity
+                )
+                result.resumed_from_epoch = start_epoch
+            if tel.enabled:
+                tel.set_gauge("repro_fleet_size", len(self.streams))
+                tel.set_gauge("repro_fleet_budget", budget)
+            plan = getattr(engine, "plan", None)  # sharded engines only
             for epoch in range(start_epoch, n_epochs):
-                with tel.span("allocation_solve"):
-                    if method in ("waterfilling", "scipy"):
-                        allocation = allocator(curves, budget, weights=weights)
-                    else:
-                        allocation = allocator(curves, budget)
-                if tel.enabled and self.backend == "sharded":
+                allocation = self._solve(curves, budget, method)
+                if tel.enabled and plan is not None:
                     # How the (global) budget currently splits across
                     # shards — re-balanced implicitly every epoch because
                     # the allocator re-solves fleet-wide.
                     for shard_id, shard_rate in enumerate(
-                        shard_budgets(allocation, engine.plan.assignments)
+                        shard_budgets(allocation, plan.assignments)
                     ):
                         tel.set_gauge(
                             "repro_shard_budget",
@@ -1212,15 +1194,17 @@ class StreamResourceManager:
                             shard=str(shard_id),
                         )
                 start = self.probe_ticks + epoch * epoch_ticks
-                if engine is not None:
-                    sent_per_stream, errors = self._dynamic_epoch_batch(
-                        engine, allocation, start, epoch_ticks
-                    )
-                else:
-                    assert policies is not None
-                    sent_per_stream, errors = self._dynamic_epoch_scalar(
-                        policies, allocation, start, epoch_ticks
-                    )
+                engine.set_deltas(np.asarray(allocation.deltas, float))
+                values, truths = _stack_fleet(
+                    [
+                        m.recording.readings[start : start + epoch_ticks]
+                        for m in self.streams
+                    ],
+                    self._dim_z_max,
+                )
+                trace = engine.run(values)
+                errors, _ = _fleet_abs_errors(trace.served, truths)
+                sent_per_stream = trace.messages_per_stream
                 for k, delta in enumerate(allocation.deltas):
                     # Re-anchor the curve level to the observed rate point.
                     observed_rate = max(int(sent_per_stream[k]), 1) / epoch_ticks
@@ -1259,143 +1243,41 @@ class StreamResourceManager:
                     checkpoint_store is not None
                     and (epoch + 1) % checkpoint_every == 0
                 ):
-                    self._write_dynamic_checkpoint(
+                    # Everything a resumed process needs to continue
+                    # bitwise: engine state *and* the re-anchored curves
+                    # (stale curves would allocate differently).
+                    # ``next_epoch`` rides in the manifest meta too, so
+                    # recovery can account for epochs lost with a corrupt
+                    # newer generation whose payload is unreadable.
+                    checkpoint_engine(
                         checkpoint_store,
-                        method=method,
-                        budget=budget,
-                        epoch_ticks=epoch_ticks,
-                        anchor_gamma=anchor_gamma,
-                        next_epoch=epoch + 1,
-                        curves=curves,
-                        policies=policies,
-                        engine=engine,
+                        engine,
+                        kind="run_dynamic",
                         tick=start + epoch_ticks,
+                        fields={
+                            **identity,
+                            "budget": float(budget),
+                            "anchor_gamma": float(anchor_gamma),
+                            "next_epoch": epoch + 1,
+                            "curves": {
+                                "a": [float(c.a) for c in curves],
+                                "b": [float(c.b) for c in curves],
+                            },
+                        },
+                        meta={
+                            "next_epoch": epoch + 1,
+                            "method": method,
+                            "backend": self.backend,
+                        },
+                        telemetry=tel,
+                        epoch=epoch,
                     )
         finally:
-            if engine is not None:
-                getattr(engine, "close", lambda: None)()
+            engine.close()
         return result
 
-    def _dynamic_epoch_scalar(
-        self,
-        policies: dict,
-        allocation: Allocation,
-        start: int,
-        epoch_ticks: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        errors = np.full(len(self.streams), np.nan)
-        sent_per_stream = np.zeros(len(self.streams), dtype=int)
-        for k, (managed, delta) in enumerate(zip(self.streams, allocation.deltas)):
-            policy = policies[managed.stream_id]
-            policy.source.bound = AbsoluteBound(float(delta))
-            before = policy.stats.total_messages
-            abs_errors = []
-            for reading in managed.recording.readings[start : start + epoch_ticks]:
-                outcome = policy.tick(reading)
-                if outcome.estimate is not None and reading.truth is not None:
-                    abs_errors.append(
-                        float(np.max(np.abs(outcome.estimate - reading.truth)))
-                    )
-            sent_per_stream[k] = policy.stats.total_messages - before
-            if abs_errors:
-                errors[k] = float(np.mean(abs_errors))
-        return sent_per_stream, errors
-
-    def _dynamic_epoch_batch(
-        self,
-        engine: FleetEngine,
-        allocation: Allocation,
-        start: int,
-        epoch_ticks: int,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        engine.set_deltas(np.asarray(allocation.deltas, float))
-        readings_per_stream = [
-            m.recording.readings[start : start + epoch_ticks] for m in self.streams
-        ]
-        values, truths = _stack_fleet(readings_per_stream, self._dim_z_max)
-        trace = engine.run(values)
-        mean_err, _ = _fleet_abs_errors(trace.served, truths)
-        return trace.messages_per_stream, mean_err
-
-    # ------------------------------------------------------------------
-    # Durability: checkpoint writes and staged resume for run_dynamic
-    # ------------------------------------------------------------------
-    def _write_dynamic_checkpoint(
-        self,
-        store,
-        *,
-        method: str,
-        budget: float,
-        epoch_ticks: int,
-        anchor_gamma: float,
-        next_epoch: int,
-        curves: list[RateCurve],
-        policies: dict | None,
-        engine,
-        tick: int,
-    ):
-        """Commit one durable generation of the dynamic run's full state.
-
-        The payload is everything a resumed process needs to continue
-        bitwise: engine (or per-policy) filter state *and* the re-anchored
-        rate curves — resuming with stale curves would allocate
-        differently from the uninterrupted run.  ``next_epoch`` rides in
-        the manifest ``meta`` too, so recovery can account honestly for
-        epochs lost with a corrupt newer generation even when that
-        generation's payload is unreadable.
-        """
-        payload = {
-            "kind": "run_dynamic",
-            "backend": self.backend,
-            "method": method,
-            "budget": float(budget),
-            "epoch_ticks": int(epoch_ticks),
-            "anchor_gamma": float(anchor_gamma),
-            "next_epoch": int(next_epoch),
-            "stream_ids": [m.stream_id for m in self.streams],
-            "curves": {
-                "a": [float(c.a) for c in curves],
-                "b": [float(c.b) for c in curves],
-            },
-        }
-        if engine is not None:
-            payload["engine"] = engine.state_snapshot()
-        else:
-            assert policies is not None
-            payload["policies"] = {
-                m.stream_id: policies[m.stream_id].policy_snapshot()
-                for m in self.streams
-            }
-        tel = self._tel
-        with tel.span("checkpoint_write"):
-            info = store.save(
-                payload,
-                tick=tick,
-                meta={
-                    "next_epoch": int(next_epoch),
-                    "method": method,
-                    "backend": self.backend,
-                },
-            )
-        if tel.enabled:
-            tel.inc("repro_checkpoint_writes_total")
-            tel.event(
-                tracing.CHECKPOINT_WRITE,
-                tick,
-                generation=info.generation,
-                epoch=next_epoch - 1,
-                bytes=info.payload_bytes,
-            )
-        return info
-
-    def _resume_dynamic(
-        self,
-        store,
-        curves: list[RateCurve],
-        policies: dict | None,
-        engine,
-        method: str,
-        epoch_ticks: int,
+    def _resume_epochs(
+        self, store, engine: Engine, curves: list[RateCurve], identity: dict
     ):
         """Staged restore of a ``run_dynamic`` checkpoint into live state.
 
@@ -1405,101 +1287,38 @@ class StreamResourceManager:
         generation had already computed them — those re-runs are flagged
         ``recovered`` in their :class:`EpochReport`.
         """
-        from repro.durability.recovery import StagedRecoverer
-        from repro.errors import CheckpointError
+        models = [m.model for m in self.streams]
 
-        expected_ids = [m.stream_id for m in self.streams]
-        swapped: dict = {}
-
-        def rehydrate(payload: dict, info) -> dict:
-            if payload.get("kind") != "run_dynamic":
-                raise CheckpointError(
-                    f"generation {info.generation} holds "
-                    f"{payload.get('kind')!r}, not a run_dynamic checkpoint"
-                )
-            for key, want in (
-                ("backend", self.backend),
-                ("method", method),
-                ("epoch_ticks", int(epoch_ticks)),
-            ):
-                if payload.get(key) != want:
-                    raise CheckpointError(
-                        f"generation {info.generation}: {key}="
-                        f"{payload.get(key)!r} does not match this run's "
-                        f"{want!r}"
-                    )
-            if list(payload.get("stream_ids", ())) != expected_ids:
-                raise CheckpointError(
-                    f"generation {info.generation} covers a different fleet "
-                    f"({len(payload.get('stream_ids', ()))} streams)"
-                )
+        def stage(payload: dict, info) -> tuple[list[RateCurve], int]:
             enc = payload["curves"]
-            restored_curves = [
-                RateCurve(a=float(a), b=float(b))
-                for a, b in zip(enc["a"], enc["b"])
+            restored = [
+                RateCurve(a=float(a), b=float(b)) for a, b in zip(enc["a"], enc["b"])
             ]
-            if len(restored_curves) != len(expected_ids):
+            if len(restored) != len(models):
                 raise CheckpointError(
-                    f"generation {info.generation} carries "
-                    f"{len(restored_curves)} rate curves for "
-                    f"{len(expected_ids)} streams"
+                    f"generation {info.generation} carries {len(restored)} "
+                    f"rate curves for {len(models)} streams"
                 )
-            # Prove the state rebuilds a working engine/policy set before
-            # anything live is touched.
-            if engine is not None:
-                shadow = FleetEngine(
-                    [m.model for m in self.streams],
-                    np.ones(len(self.streams)),
-                    kernel=self.kernel,
-                    sketch=self.sketch,
-                    censor_threshold=self.censor_threshold,
-                )
-                shadow.restore_state(payload["engine"])
-            else:
-                shadow = {}
-                for managed in self.streams:
-                    policy = self._make_policy(managed.model, 1.0)
-                    policy.restore_policy(payload["policies"][managed.stream_id])
-                    shadow[managed.stream_id] = policy
-            return {
-                "payload": payload,
-                "curves": restored_curves,
-                "shadow": shadow,
-                "next_epoch": int(payload["next_epoch"]),
-            }
+            return restored, int(payload["next_epoch"])
 
-        def swap(shadow: dict, info) -> None:
-            curves[:] = shadow["curves"]
-            if engine is not None:
-                engine.restore_state(shadow["payload"]["engine"])
-            else:
-                assert policies is not None
-                policies.clear()
-                policies.update(shadow["shadow"])
-            swapped["next_epoch"] = shadow["next_epoch"]
-
-        recoverer = StagedRecoverer(store, rehydrate, swap, telemetry=self._tel)
-        report = recoverer.recover()
-        if report.generation is not None and hasattr(engine, "health"):
-            for health in engine.health:
-                health.rehydrations += 1
-        start_epoch = int(swapped.get("next_epoch", 0))
+        report, staged = recover_engine(
+            store,
+            engine,
+            lambda: self._make_engine(models, np.ones(len(models)), detached=True),
+            kind="run_dynamic",
+            expect=identity,
+            stage=stage,
+            telemetry=self._tel,
+        )
+        start_epoch = 0
+        if staged is not None:
+            curves[:], start_epoch = staged
         lost = [
             int(a.meta["next_epoch"])
             for a in report.attempts
             if a.error is not None and "next_epoch" in a.meta
         ]
-        recovered_until = max([start_epoch] + lost)
-        return report, start_epoch, recovered_until
-
-    def _make_policy(self, model: ProcessModel, delta: float) -> DualKalmanPolicy:
-        adaptation = AdaptationPolicy(model) if self.adaptive else None
-        return DualKalmanPolicy(
-            model,
-            AbsoluteBound(delta),
-            adaptation=adaptation,
-            telemetry=self._tel,
-        )
+        return report, start_epoch, max([start_epoch] + lost)
 
 
 def _stream_scale(readings: list[Reading]) -> float:

@@ -23,6 +23,7 @@ from repro.dsms.operators import (
     Operator,
     Select,
     WindowAggregate,
+    replay_aggregate,
 )
 from repro.dsms.precision_propagation import (
     add_sub_bound,
@@ -63,6 +64,7 @@ __all__ = [
     "MapLinear",
     "MapFn",
     "WindowAggregate",
+    "replay_aggregate",
     "MergeJoin",
     "QueryRequirement",
     "assign_stream_bounds",

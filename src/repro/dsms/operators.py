@@ -20,7 +20,15 @@ from repro.dsms.tuples import StreamTuple
 from repro.dsms.windows import SlidingWindow, TumblingWindow
 from repro.errors import ConfigurationError, QueryError
 
-__all__ = ["Operator", "Select", "MapLinear", "MapFn", "WindowAggregate", "MergeJoin"]
+__all__ = [
+    "Operator",
+    "Select",
+    "MapLinear",
+    "MapFn",
+    "WindowAggregate",
+    "replay_aggregate",
+    "MergeJoin",
+]
 
 
 class Operator(ABC):
@@ -182,6 +190,23 @@ class WindowAggregate(Operator):
     def describe(self) -> str:
         kind = "tumbling" if isinstance(self.window, TumblingWindow) else "sliding"
         return f"WindowAggregate[{self.aggregate_name}, {kind} n={self.window.size}]"
+
+
+def replay_aggregate(members, aggregate: str | Aggregate) -> StreamTuple:
+    """Aggregate exactly ``members`` by replaying them through the operator.
+
+    The one construction every read tier shares (live rings, the SQLite
+    archive, hybrid answers): a fresh :class:`WindowAggregate` sized to the
+    member count with ``slide=1, emit_partial=True`` emits on every push,
+    so the last push's emission covers exactly ``members``.  Callers add
+    no arithmetic of their own — an answer's value and bound are bitwise
+    identical whichever tier resolved the member tuples.
+    """
+    op = WindowAggregate(aggregate, size=len(members), slide=1, emit_partial=True)
+    out: list[StreamTuple] = []
+    for member in members:
+        out = op.process(member)
+    return out[0]
 
 
 class MergeJoin(Operator):

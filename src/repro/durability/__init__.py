@@ -8,11 +8,14 @@ restores them through a staged state machine that verifies into a shadow
 engine before ever touching live state
 (:mod:`~repro.durability.recovery`).
 
-Wiring lives with the engines: :class:`~repro.core.manager.StreamResourceManager`
-checkpoints every ``checkpoint_every`` epochs of ``run_dynamic`` and
-resumes via ``resume=True``; :class:`~repro.parallel.runtime.ShardedFleetRuntime`
+Every engine shares one ``state_snapshot`` / ``restore_state`` surface,
+so the wiring is one routine (:mod:`~repro.durability.engine`):
+:class:`~repro.core.manager.StreamResourceManager` checkpoints every
+``checkpoint_every`` epochs of ``run_dynamic`` and resumes via
+``resume=True``, :class:`~repro.parallel.runtime.ShardedFleetRuntime`
 exposes ``checkpoint()``/``recover_from_checkpoint()`` for coordinator
-restarts.  See ``docs/durability.md``.
+restarts, and both call :func:`checkpoint_engine` / :func:`recover_engine`.
+See ``docs/durability.md``.
 """
 
 from repro.durability.codec import (
@@ -21,6 +24,7 @@ from repro.durability.codec import (
     encode_state,
     loads_payload,
 )
+from repro.durability.engine import checkpoint_engine, recover_engine
 from repro.durability.recovery import (
     ACTIVE,
     FAILED,
@@ -42,6 +46,8 @@ __all__ = [
     "CheckpointInfo",
     "CRASH_POINTS",
     "StagedRecoverer",
+    "checkpoint_engine",
+    "recover_engine",
     "RecoveryReport",
     "RecoveryAttempt",
     "STAGES",

@@ -132,12 +132,6 @@ class StagedRecoverer:
             state.  Raising here is terminal (see module docstring).
         telemetry: Optional sink; stage transitions, fallbacks, spans and
             the ``repro_recovery_stage`` gauge are recorded when enabled.
-        max_generations: Cap on how many generations to try (``None`` =
-            every committed generation the store retains).
-        discard: Optional ``(shadow) -> None`` cleanup for shadows that
-            were built but never swapped (e.g. closing a sharded
-            runtime's executor).  Cleanup errors are suppressed — the
-            shadow is already condemned.
     """
 
     def __init__(
@@ -146,15 +140,11 @@ class StagedRecoverer:
         rehydrate: Callable[[dict, CheckpointInfo], object],
         swap: Callable[[object, CheckpointInfo], None],
         telemetry=None,
-        max_generations: int | None = None,
-        discard: Callable[[object], None] | None = None,
     ):
         self.store = store
         self.rehydrate = rehydrate
         self.swap = swap
         self.telemetry = resolve_telemetry(telemetry)
-        self.max_generations = max_generations
-        self.discard = discard
         self.stage = INSPECTING
         self._enter(INSPECTING, generation=None)
 
@@ -182,16 +172,7 @@ class StagedRecoverer:
             committed, orphan_paths = self.store.inspect()
         orphans = tuple(p.name for p in orphan_paths)
         candidates = list(reversed(committed))
-        if self.max_generations is not None:
-            candidates = candidates[: self.max_generations]
-
         if not candidates:
-            if committed:
-                # max_generations == 0 is a configuration corner; treat as
-                # "nothing to try" -> failure, state existed.
-                report = RecoveryReport(FAILED, None, (), orphans)
-                self._enter(FAILED, generation=None)
-                raise RecoveryError("no recovery candidates allowed", report)
             self._enter(ACTIVE, generation=None)
             return RecoveryReport(ACTIVE, None, (), orphans)
 
@@ -245,7 +226,6 @@ class StagedRecoverer:
             stages.append(stage)
             self._enter(stage, generation=info.generation)
 
-        shadow = None
         try:
             enter(READING)
             with tel.span("recovery.read"):
@@ -264,8 +244,6 @@ class StagedRecoverer:
             with tel.span("recovery.swap"):
                 self.swap(shadow, info)
         except Exception as exc:
-            if shadow is not None and stages[-1] != SWAPPING:
-                self._discard(shadow)
             return RecoveryAttempt(
                 generation=info.generation,
                 tick=info.tick,
@@ -282,11 +260,3 @@ class StagedRecoverer:
             error=None,
             meta=dict(info.meta),
         )
-
-    def _discard(self, shadow) -> None:
-        if self.discard is None:
-            return
-        try:
-            self.discard(shadow)
-        except Exception:
-            pass

@@ -32,7 +32,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.durability.codec import loads_payload
-from repro.dsms.operators import WindowAggregate
+from repro.dsms.operators import replay_aggregate
 from repro.dsms.tuples import StreamTuple
 from repro.errors import HistoryError
 from repro.history.db import connect, ensure_schema
@@ -241,25 +241,6 @@ class HistoryStore:
         self._record("range", t0, len(rows))
         return self._tuples(stream_id, rows[::-1])
 
-    @staticmethod
-    def _replay(
-        members: tuple[StreamTuple, ...], aggregate: str
-    ) -> StreamTuple:
-        """Replay members through a real dsms operator — the exact path.
-
-        Identical construction to :meth:`ServingStore.window_aggregate`:
-        ``slide=1, emit_partial=True`` emits on every push, so the last
-        push's emission aggregates exactly ``members``.  The history
-        tier adds no arithmetic of its own.
-        """
-        op = WindowAggregate(
-            aggregate, size=len(members), slide=1, emit_partial=True
-        )
-        out: list[StreamTuple] = []
-        for member in members:
-            out = op.process(member)
-        return out[0]
-
     def range_aggregate(
         self,
         stream_id: str,
@@ -281,7 +262,7 @@ class HistoryStore:
                     f"stream {stream_id!r} has no archived tuples in "
                     f"[{t_start!r}, {t_end!r}]"
                 )
-            answer = self._replay(self._tuples(stream_id, rows), aggregate)
+            answer = replay_aggregate(self._tuples(stream_id, rows), aggregate)
         self._record("aggregate", t0, len(rows))
         return answer
 
@@ -308,7 +289,7 @@ class HistoryStore:
                     f"at or before {t_end!r}, window of {size} has not warmed "
                     f"up (pass emit_partial=True to aggregate the suffix)"
                 )
-            answer = self._replay(members, aggregate)
+            answer = replay_aggregate(members, aggregate)
         self._record("aggregate", t0, len(members))
         return answer
 

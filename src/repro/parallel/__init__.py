@@ -14,7 +14,7 @@ Entry points:
 * :class:`ShardPlan` — deterministic fleet partitioning;
 * :class:`ShardedFleetRuntime` — the drop-in parallel engine behind
   ``StreamResourceManager(backend="sharded")``;
-* :func:`make_executor` / :class:`SerialExecutor` — process/thread/serial
+* :func:`make_executor` / :class:`SerialExecutor` — process/serial
   execution strategies with one surface.
 """
 

@@ -1,32 +1,30 @@
 """Executor selection for the sharded fleet runtime.
 
-Three interchangeable ways to run shard tasks, all presenting the
+Two interchangeable ways to run shard tasks, both presenting the
 ``concurrent.futures`` submit/shutdown surface:
 
 * ``"process"`` — :class:`~concurrent.futures.ProcessPoolExecutor`; the
   main-run choice for CPU-bound fleets (numpy releases the GIL only in
   spots; whole-shard parallelism needs processes).
-* ``"thread"`` — :class:`~concurrent.futures.ThreadPoolExecutor`; no
-  pickling and no interpreter start-up, so equivalence suites can check
-  the full dispatch/merge machinery cheaply on every push.
 * ``"serial"`` — an in-process executor that runs each task eagerly at
-  submit time; fully deterministic (single thread, defined order) and
-  the right default for unit tests and debugging.
+  submit time; fully deterministic (single thread, defined order), so
+  equivalence suites check the full dispatch/merge machinery cheaply on
+  every push, and the right default for unit tests and debugging.
 
 Workers are stateless by design — every task carries its shard's engine
-state in and out — so the three executors produce bit-identical results
-and differ only in wall-clock.
+state in and out — so both executors produce bit-identical results and
+differ only in wall-clock.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 
 from repro.errors import ConfigurationError
 
 __all__ = ["EXECUTOR_KINDS", "SerialExecutor", "make_executor"]
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "process")
 
 
 class SerialExecutor:
@@ -49,19 +47,11 @@ class SerialExecutor:
     def shutdown(self, wait: bool = True, cancel_futures: bool = False) -> None:
         """Nothing to tear down."""
 
-    def __enter__(self) -> "SerialExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.shutdown()
-
 
 def make_executor(kind: str, max_workers: int | None = None):
     """Build the executor for ``kind`` (see :data:`EXECUTOR_KINDS`)."""
     if kind == "serial":
         return SerialExecutor()
-    if kind == "thread":
-        return ThreadPoolExecutor(max_workers=max_workers)
     if kind == "process":
         return ProcessPoolExecutor(max_workers=max_workers)
     raise ConfigurationError(

@@ -3,8 +3,8 @@
 :class:`ShardedFleetRuntime` partitions a fleet across shards (see
 :class:`~repro.parallel.sharding.ShardPlan`) and drives one
 :class:`~repro.core.manager.FleetEngine` per shard inside an executor
-worker — a process pool for CPU-bound main runs, a thread pool or the
-serial executor for tests and determinism.  Because every stream's
+worker — a process pool for CPU-bound main runs, the serial executor
+for tests and determinism.  Because every stream's
 filter is independent, a shard's engine computes *bitwise* the same
 per-stream estimates, send decisions and message counts as the
 single-engine batch path; the runtime's merge step scatters shard
@@ -22,30 +22,26 @@ Design rules:
   accounted honestly as a degraded gap in the shard's
   :class:`ShardHealth` — the bounds served during the gap were stale by
   exactly ``recomputed_ticks`` ticks.
-* **Zero-copy transport** — with ``transport="shm"`` (default) each
-  shard owns one ``multiprocessing.shared_memory`` segment holding its
-  measurement chunk, served/sent result regions, packed filter state
-  and bounds.  Workers operate on views of that segment, so the only
-  thing crossing the executor pipe per dispatch is a small header
-  (shard id, tick count, layout) and the folded telemetry coming back.
-  ``transport="pickle"`` keeps the serialize-everything path for
-  comparison (the T6 per-transport baseline); results are bitwise-equal
-  either way.
+* **Zero-copy transport** — each shard owns one
+  ``multiprocessing.shared_memory`` segment holding its measurement
+  chunk, served/sent result regions, packed filter state and bounds.
+  Workers operate on views of that segment, so the only thing crossing
+  the executor pipe per dispatch is a small header (shard id, tick
+  count, layout) and the folded telemetry coming back.
 * **Fork-inherited engines** — shard engines are built coordinator-side
   into a module registry *before* the process pool forks, so workers
   inherit them for free; each dispatch only restores the shipped packed
   state into the inherited engine.  On platforms that spawn instead of
   fork, a worker rebuilds its engine once from the pickled-models blob
-  stored in the shard's segment (or carried by the pickle-transport
-  task) and caches it.
+  stored in the shard's segment and caches it.
 * **Coordinator-merged telemetry** — workers record into their own
   :class:`~repro.obs.Telemetry` (a process cannot share the
   coordinator's registry); the runtime folds worker counters and span
   stats into the coordinator sink with a ``shard`` label, so one
   registry/trace still describes the whole run.  The coordinator also
-  accounts ``repro_shard_bytes_shipped_total`` per shard and transport
-  — the serialized bytes a dispatch round-trip pushed through the
-  executor pipe, which is the cost the shm transport exists to delete.
+  accounts ``repro_shard_bytes_shipped_total`` per shard — the
+  serialized header bytes a dispatch round-trip pushed through the
+  executor pipe, independent of fleet size and chunk length.
 """
 
 from __future__ import annotations
@@ -55,12 +51,18 @@ import itertools
 import os
 import pickle
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 
 import numpy as np
 
-from repro.core.manager import FleetEngine, FleetTrace
+from repro.core.manager import (
+    FleetEngine,
+    FleetTrace,
+    _validated_deltas,
+    _validated_values,
+)
+from repro.durability.engine import checkpoint_engine, recover_engine
 from repro.errors import ConfigurationError, ShardingError
 from repro.kalman.kernels import resolve_kernel
 from repro.obs import tracing
@@ -70,12 +72,15 @@ from repro.parallel.sharding import ShardPlan
 
 __all__ = ["ShardHealth", "ShardedFleetRuntime", "TRANSPORT_KINDS"]
 
-TRANSPORT_KINDS = ("shm", "pickle")
+#: The one transport.  ``transport=`` stays a validated constructor
+#: keyword because the frozen ``benchmarks/e2e`` passes it; the next
+#: benchmark PR removes both.
+TRANSPORT_KINDS = ("shm",)
 
 #: Shard engines keyed by ``(token, shard_id)``.  The coordinator
 #: populates this *before* the process pool starts, so fork-based pools
 #: inherit ready-built engines (zero per-dispatch model shipping); the
-#: serial/thread executors read the same entries in-process.  Workers on
+#: serial executor reads the same entries in-process.  Workers on
 #: spawn platforms fill their own copy lazily from the models blob.
 _ENGINE_REGISTRY: dict[tuple[str, int], FleetEngine] = {}
 
@@ -89,9 +94,8 @@ _WORKER_SEGMENTS: dict[tuple[str, int], "_ShardSegment"] = {}
 
 _TOKENS = itertools.count()
 
-_STATE_FIELDS = (
-    "x", "P", "warm", "messages", "n_predicts", "n_updates", "n_censored"
-)
+_ACCOUNTING_FIELDS = ("warm", "messages", "n_predicts", "n_updates", "n_censored")
+_STATE_FIELDS = ("x", "P") + _ACCOUNTING_FIELDS
 
 
 @dataclass
@@ -233,40 +237,29 @@ def _attached_segment(token: str, shard_id: int, layout: dict) -> _ShardSegment:
 # Worker entry points (module-level so process pools can pickle them)
 # ----------------------------------------------------------------------
 def _maybe_fail(fail_marker: str | None) -> None:
-    if fail_marker is not None and not os.path.exists(fail_marker):
+    if fail_marker is not None:
         # Test hook: die exactly once (the marker file survives the
         # process), so respawn/resume paths can be exercised on demand.
-        with open(fail_marker, "w"):
-            pass
+        # Exclusive create, so of two workers racing only one dies.
+        try:
+            with open(fail_marker, "x"):
+                pass
+        except FileExistsError:
+            return
         raise RuntimeError("injected worker fault (fail_marker)")
 
 
 def _worker_engine(
-    token: str,
-    shard_id: int,
-    norm: str,
-    kernel: str,
-    blob: bytes | None,
-    sketch=None,
-    censor_threshold: float = 0.0,
+    token: str, shard_id: int, seg: _ShardSegment, blob_len: int
 ) -> FleetEngine:
     """The shard's engine: fork-inherited, or rebuilt once from the blob."""
     key = (token, shard_id)
     engine = _ENGINE_REGISTRY.get(key)
     if engine is None:
-        if blob is None:
-            raise ShardingError(
-                f"shard {shard_id}: no inherited engine and no models blob"
-            )
-        models = pickle.loads(blob)
-        engine = FleetEngine(
-            models,
-            np.ones(len(models)),
-            norm=norm,
-            kernel=kernel,
-            sketch=sketch,
-            censor_threshold=censor_threshold,
-        )
+        # Spawn platforms inherit nothing: rebuild from the pickled
+        # ``(models, engine kwargs)`` the coordinator left in the segment.
+        models, kwargs = pickle.loads(bytes(seg.view("models_blob")[:blob_len]))
+        engine = FleetEngine(models, np.ones(len(models)), **kwargs)
         _ENGINE_REGISTRY[key] = engine
     return engine
 
@@ -297,17 +290,7 @@ def _run_chunk_shm(header: dict) -> tuple[int, list, list]:
     token = header["token"]
     shard_id = header["shard_id"]
     seg = _attached_segment(token, shard_id, header["layout"])
-    blob_len = header["blob_len"]
-    blob = bytes(seg.view("models_blob")[:blob_len]) if blob_len else None
-    engine = _worker_engine(
-        token,
-        shard_id,
-        header["norm"],
-        header["kernel"],
-        blob,
-        sketch=header.get("sketch"),
-        censor_threshold=header.get("censor_threshold", 0.0),
-    )
+    engine = _worker_engine(token, shard_id, seg, header["blob_len"])
     tel = Telemetry() if header["collect_telemetry"] else None
     engine._tel = resolve_telemetry(tel)
     state = {f: seg.view(f) for f in _STATE_FIELDS}
@@ -324,62 +307,6 @@ def _run_chunk_shm(header: dict) -> tuple[int, list, list]:
     seg.view("ticks")[0] = packed["ticks"]
     counters, spans = _collect_worker_telemetry(tel)
     return shard_id, counters, spans
-
-
-@dataclass
-class _PickleTask:
-    """One serialize-everything dispatch (the legacy transport)."""
-
-    token: str
-    shard_id: int
-    blob: bytes  # pickled models, reused byte-for-byte every chunk
-    deltas: np.ndarray
-    norm: str
-    kernel: str
-    values: np.ndarray
-    state: dict
-    collect_telemetry: bool
-    fail_marker: str | None = None
-    sketch: object = None
-    censor_threshold: float = 0.0
-
-
-@dataclass
-class _PickleResult:
-    shard_id: int
-    served: np.ndarray
-    sent: np.ndarray
-    state: dict
-    counters: list = field(default_factory=list)
-    spans: list = field(default_factory=list)
-
-
-def _run_chunk_pickle(task: _PickleTask) -> _PickleResult:
-    """Advance one shard by one chunk with everything on the pipe."""
-    _maybe_fail(task.fail_marker)
-    engine = _worker_engine(
-        task.token,
-        task.shard_id,
-        task.norm,
-        task.kernel,
-        task.blob,
-        sketch=task.sketch,
-        censor_threshold=task.censor_threshold,
-    )
-    tel = Telemetry() if task.collect_telemetry else None
-    engine._tel = resolve_telemetry(tel)
-    engine.restore_packed(task.state)
-    engine.set_deltas(np.array(task.deltas, dtype=float))
-    trace = engine.run(task.values)
-    counters, spans = _collect_worker_telemetry(tel)
-    return _PickleResult(
-        shard_id=task.shard_id,
-        served=trace.served,
-        sent=trace.sent,
-        state=engine.packed_state(),
-        counters=counters,
-        spans=spans,
-    )
 
 
 def _warm_worker(token: str, shard_id: int) -> int:
@@ -400,14 +327,13 @@ def _warm_worker(token: str, shard_id: int) -> int:
 
 
 def _cleanup_runtime(token: str, n_shards: int, segments: list) -> None:
-    """Finalizer: drop registry entries and unlink any live segments."""
+    """Drop registry entries and unlink live segments (close and GC finalizer)."""
     for k in range(n_shards):
         _ENGINE_REGISTRY.pop((token, k), None)
         _WORKER_SEGMENTS.pop((token, k), None)
-    for seg in segments:
-        if seg is not None:
-            seg.close(unlink=True)
-    segments.clear()
+        if segments[k] is not None:
+            segments[k].close(unlink=True)
+            segments[k] = None
 
 
 class ShardedFleetRuntime:
@@ -426,8 +352,8 @@ class ShardedFleetRuntime:
             ``min(4, n_streams)``); ignored when ``plan`` is given.
         plan: Explicit :class:`ShardPlan` overriding the default
             contiguous partition.
-        executor: ``"process"`` (main runs), ``"thread"`` or ``"serial"``
-            (tests, determinism, no pickling).
+        executor: ``"process"`` (main runs) or ``"serial"`` (tests,
+            determinism, no pool).
         max_workers: Pool size; defaults to the number of shards.
         norm: Dead-band norm, as for :class:`FleetEngine`.
         chunk_ticks: Dispatch granularity in ticks.  ``None`` runs each
@@ -435,11 +361,8 @@ class ShardedFleetRuntime:
             chunks bound how much work a worker death can lose.
         max_respawns: Worker deaths tolerated *per shard per chunk*
             before the run is abandoned with :class:`ShardingError`.
-        transport: ``"shm"`` (default — zero-copy shared-memory arrays,
-            headers-only dispatch) or ``"pickle"`` (serialize every
-            array through the executor pipe).  Bitwise-equal results;
-            the knob exists so the T6 benchmark can price the transport
-            itself.
+        transport: Vestigial — ``"shm"`` (zero-copy shared-memory
+            arrays, headers-only dispatch) is the only legal value.
         kernel: Compute kernel for the per-shard batch engines —
             ``"numpy"`` (default), ``"numba"`` or ``"auto"``; see
             :mod:`repro.kalman.kernels`.  The resolved name is exposed
@@ -456,7 +379,7 @@ class ShardedFleetRuntime:
             are folded into it with a ``shard`` label, worker deaths
             are traced as ``worker_respawn`` events, and dispatch
             round-trip bytes are counted as
-            ``repro_shard_bytes_shipped_total`` per shard/transport.
+            ``repro_shard_bytes_shipped_total`` per shard.
     """
 
     def __init__(
@@ -509,7 +432,6 @@ class ShardedFleetRuntime:
         self.plan = plan
         self.norm = norm
         self.executor_kind = executor
-        self.transport = transport
         self.kernel = resolve_kernel(kernel)
         self.sketch = sketch
         self.censor_threshold = float(censor_threshold)
@@ -517,14 +439,7 @@ class ShardedFleetRuntime:
         self.chunk_ticks = chunk_ticks
         self.max_respawns = max_respawns
         self.models = list(models)
-        self.dim_z_max = max(m.dim_z for m in self.models)
         self._models_by_shard = plan.split_list(self.models)
-        self._dims_by_shard = [
-            max(m.dim_z for m in ms) for ms in self._models_by_shard
-        ]
-        self._dxm_by_shard = [
-            max(m.dim_x for m in ms) for ms in self._models_by_shard
-        ]
         self.set_deltas(deltas)
         self.health = [ShardHealth(shard_id=k) for k in range(plan.n_shards)]
         self.messages = np.zeros(self.n, dtype=int)
@@ -540,28 +455,31 @@ class ShardedFleetRuntime:
         self._token = f"{os.getpid()}-{next(_TOKENS)}"
         self._segments: list[_ShardSegment | None] = [None] * plan.n_shards
         self._segment_gen = 0
-        # Models pickled once per shard; the pickle transport re-ships the
-        # same bytes each chunk (a memcpy, not a re-pickle) and the shm
-        # transport stores them in the segment as the spawn-platform
-        # fallback for the fork-inherited engine registry.
+        self._engine_kwargs = dict(
+            norm=norm,
+            kernel=self.kernel,
+            sketch=self.sketch,
+            censor_threshold=self.censor_threshold,
+        )
+        # Each shard's engine recipe, pickled once and stored in its
+        # segment as the spawn-platform fallback for the fork-inherited
+        # engine registry.
         self._blobs = [
-            pickle.dumps(ms, protocol=pickle.HIGHEST_PROTOCOL)
+            pickle.dumps((ms, self._engine_kwargs), protocol=pickle.HIGHEST_PROTOCOL)
             for ms in self._models_by_shard
         ]
-        deltas_by_shard = plan.split(self.deltas)
-        self._packed: list[dict] = []
-        for k in range(plan.n_shards):
-            engine = FleetEngine(
-                self._models_by_shard[k],
-                deltas_by_shard[k],
-                norm=norm,
-                kernel=self.kernel,
-                sketch=self.sketch,
-                censor_threshold=self.censor_threshold,
+        # One engine per shard, built before the pool ever forks so that
+        # workers inherit it through the registry; the coordinator's own
+        # copies never step — they only convert state formats.
+        self._engines = [
+            FleetEngine(shard_models, shard_deltas, **self._engine_kwargs)
+            for shard_models, shard_deltas in zip(
+                self._models_by_shard, plan.split(self.deltas)
             )
-            # Built before the pool ever forks, so workers inherit it.
+        ]
+        for k, engine in enumerate(self._engines):
             _ENGINE_REGISTRY[(self._token, k)] = engine
-            self._packed.append(engine.packed_state())
+        self._packed = [engine.packed_state() for engine in self._engines]
         self._finalizer = weakref.finalize(
             self, _cleanup_runtime, self._token, plan.n_shards, self._segments
         )
@@ -576,14 +494,7 @@ class ShardedFleetRuntime:
     # ------------------------------------------------------------------
     def set_deltas(self, deltas: np.ndarray) -> None:
         """Install new per-stream bounds (global fleet order)."""
-        deltas = np.asarray(deltas, dtype=float).reshape(-1)
-        if deltas.shape != (self.n,):
-            raise ConfigurationError(
-                f"deltas must have shape ({self.n},), got {deltas.shape}"
-            )
-        if np.any(deltas <= 0):
-            raise ConfigurationError("all per-stream deltas must be positive")
-        self.deltas = deltas
+        self.deltas = _validated_deltas(deltas, self.n)
 
     def run(self, values: np.ndarray) -> FleetTrace:
         """Drive a ``(T, N, dim_z_max)`` value matrix through the shards.
@@ -593,20 +504,15 @@ class ShardedFleetRuntime:
         merges results back to global stream order.  Output is bitwise
         equal to :meth:`FleetEngine.run` on the same inputs.
         """
-        values = np.asarray(values, dtype=float)
-        if values.ndim != 3 or values.shape[1] != self.n:
-            raise ConfigurationError(
-                f"values must have shape (T, {self.n}, dim_z_max), "
-                f"got {values.shape}"
-            )
+        values = _validated_values(values, self.n)
         n_ticks = values.shape[0]
         served = np.full(values.shape, np.nan)
         sent = np.zeros((n_ticks, self.n), dtype=bool)
         deltas_by_shard = self.plan.split(self.deltas)
         values_by_shard = self.plan.split(values, axis=1)
+        widths = [engine.filters.dim_z_max for engine in self._engines]
         chunk = min(self.chunk_ticks or n_ticks, n_ticks)
-        if self.transport == "shm":
-            self._ensure_segments(chunk)
+        self._ensure_segments(chunk)
         for chunk_idx, t0 in enumerate(range(0, n_ticks, chunk)):
             t1 = min(t0 + chunk, n_ticks)
             marker = self.fail_marker
@@ -616,7 +522,7 @@ class ShardedFleetRuntime:
             tasks = [
                 self._make_task(
                     k,
-                    values_by_shard[k][t0:t1, :, : self._dims_by_shard[k]],
+                    values_by_shard[k][t0:t1, :, : widths[k]],
                     deltas_by_shard[k],
                     marker,
                 )
@@ -625,8 +531,7 @@ class ShardedFleetRuntime:
             for res in self._dispatch(tasks, tick_base=self.ticks + t0):
                 k, chunk_served, chunk_sent, state, counters, spans = res
                 idx = self.plan.assignments[k]
-                width = self._dims_by_shard[k]
-                served[t0:t1, idx, :width] = chunk_served
+                served[t0:t1, idx, : widths[k]] = chunk_served
                 sent[t0:t1, idx] = chunk_sent
                 self._packed[k] = state
                 if self._tel.enabled:
@@ -636,7 +541,7 @@ class ShardedFleetRuntime:
         return FleetTrace(served=served, sent=sent)
 
     # ------------------------------------------------------------------
-    # Task construction per transport
+    # Task headers and results
     # ------------------------------------------------------------------
     def _make_task(
         self,
@@ -645,67 +550,31 @@ class ShardedFleetRuntime:
         shard_deltas: np.ndarray,
         fail_marker: str | None,
     ) -> dict:
+        """Stage one shard's chunk in its segment; returns the task header."""
         n_ticks = chunk_values.shape[0]
-        if self.transport == "shm":
-            seg = self._segments[k]
-            seg.view("values")[:n_ticks] = chunk_values
-            seg.view("deltas")[:] = shard_deltas
-            self._write_state(k)
-            payload = {
-                "token": self._token,
-                "shard_id": k,
-                "layout": seg.layout,
-                "n_ticks": n_ticks,
-                "norm": self.norm,
-                "kernel": self.kernel,
-                "blob_len": len(self._blobs[k]),
-                "collect_telemetry": self._tel.enabled,
-                "fail_marker": fail_marker,
-            }
-            if self.sketch is not None or self.censor_threshold != 0.0:
-                # Only active approximations ride in the header — the
-                # exact path's headers-only wire format stays byte-equal
-                # to what it was before the knobs existed.
-                payload["sketch"] = self.sketch
-                payload["censor_threshold"] = self.censor_threshold
-            return {"shard_id": k, "n_ticks": n_ticks, "fn": _run_chunk_shm,
-                    "payload": payload}
-        payload = _PickleTask(
-            token=self._token,
-            shard_id=k,
-            blob=self._blobs[k],
-            deltas=shard_deltas,
-            norm=self.norm,
-            kernel=self.kernel,
-            sketch=self.sketch,
-            censor_threshold=self.censor_threshold,
-            values=chunk_values,
-            state=self._packed[k],
-            collect_telemetry=self._tel.enabled,
-            fail_marker=fail_marker,
-        )
-        return {"shard_id": k, "n_ticks": n_ticks, "fn": _run_chunk_pickle,
-                "payload": payload}
+        seg = self._segments[k]
+        seg.view("values")[:n_ticks] = chunk_values
+        seg.view("deltas")[:] = shard_deltas
+        self._write_state(k)
+        return {
+            "token": self._token,
+            "shard_id": k,
+            "layout": seg.layout,
+            "n_ticks": n_ticks,
+            "blob_len": len(self._blobs[k]),
+            "collect_telemetry": self._tel.enabled,
+            "fail_marker": fail_marker,
+        }
 
-    def _unpack_result(self, task: dict, raw) -> tuple:
-        """Normalize a worker result to ``(k, served, sent, state, c, s)``."""
-        k = task["shard_id"]
-        n_ticks = task["n_ticks"]
-        if self.transport == "shm":
-            _, counters, spans = raw
-            seg = self._segments[k]
-            chunk_served = np.array(seg.view("served")[:n_ticks])
-            chunk_sent = np.array(seg.view("sent")[:n_ticks])
-            state = self._read_state(k)
-            return k, chunk_served, chunk_sent, state, counters, spans
-        return (
-            k,
-            raw.served,
-            raw.sent,
-            raw.state,
-            raw.counters,
-            raw.spans,
-        )
+    def _read_result(self, header: dict, raw: tuple) -> tuple:
+        """Copy a finished chunk out: ``(k, served, sent, state, c, s)``."""
+        k = header["shard_id"]
+        n_ticks = header["n_ticks"]
+        _, counters, spans = raw
+        seg = self._segments[k]
+        chunk_served = np.array(seg.view("served")[:n_ticks])
+        chunk_sent = np.array(seg.view("sent")[:n_ticks])
+        return k, chunk_served, chunk_sent, self._read_state(k), counters, spans
 
     # ------------------------------------------------------------------
     # Shared-memory segment management
@@ -725,12 +594,12 @@ class ShardedFleetRuntime:
                 _WORKER_SEGMENTS.pop((self._token, k), None)
                 seg.close(unlink=True)
             self._segment_gen += 1
-            n_s = self.plan.assignments[k].size
+            filters = self._engines[k].filters
             layout = _shard_layout(
                 f"repro-{self._token}-{k}-g{self._segment_gen}",
-                n_s,
-                self._dims_by_shard[k],
-                self._dxm_by_shard[k],
+                filters.n,
+                filters.dim_z_max,
+                filters.dim_x_max,
                 chunk_cap,
                 len(self._blobs[k]),
             )
@@ -738,8 +607,8 @@ class ShardedFleetRuntime:
             blob = self._blobs[k]
             seg.view("models_blob")[: len(blob)] = np.frombuffer(blob, dtype="u1")
             self._segments[k] = seg
-            # Same-process workers (serial/thread) reuse the owner's
-            # mapping directly — no attach at all.
+            # Same-process (serial) workers reuse the owner's mapping
+            # directly — no attach at all.
             _WORKER_SEGMENTS[(self._token, k)] = seg
 
     def _write_state(self, k: int) -> None:
@@ -773,16 +642,16 @@ class ShardedFleetRuntime:
         while pending:
             executor = self._ensure_executor()
             futures = [
-                (task, executor.submit(task["fn"], task["payload"]))
-                for task in pending
+                (task, executor.submit(_run_chunk_shm, task)) for task in pending
             ]
             if self._tel.enabled:
                 for task in pending:
+                    # What crosses the executor pipe: the pickled header
+                    # down, a small telemetry tuple back (est. 64 bytes).
                     self._tel.inc(
                         "repro_shard_bytes_shipped_total",
-                        self._task_bytes(task),
+                        len(pickle.dumps(task)) + 64,
                         shard=str(task["shard_id"]),
-                        transport=self.transport,
                     )
             retry: list[dict] = []
             broken = False
@@ -816,48 +685,20 @@ class ShardedFleetRuntime:
                         ) from exc
                     retry.append(task)
                 else:
-                    results[shard_id] = self._unpack_result(task, raw)
+                    results[shard_id] = self._read_result(task, raw)
             if broken:
                 # A process pool may be broken wholesale after a worker
                 # death; rebuild so the respawned dispatch gets live
                 # workers (a fresh fork re-inherits engines + segments).
-                # Thread/serial executors survive task errors.
+                # The serial executor survives task errors.
                 if self.executor_kind == "process":
                     self._shutdown_executor()
-                if self.transport == "shm":
-                    # The dying worker may have torn a partial state
-                    # write; recommit before the retry dispatches.
-                    for task in retry:
-                        self._write_state(task["shard_id"])
+                # The dying worker may have torn a partial state write;
+                # recommit before the retry dispatches.
+                for task in retry:
+                    self._write_state(task["shard_id"])
             pending = retry
         return [results[t["shard_id"]] for t in tasks]
-
-    def _task_bytes(self, task: dict) -> int:
-        """Bytes this dispatch pushes through the executor pipe (est.).
-
-        The honest per-transport cost the shm design deletes: the pickle
-        transport ships the values chunk, packed state and models blob
-        down plus served/sent/state back; the shm transport ships only
-        the header and gets a small telemetry tuple back.
-        """
-        if self.transport == "shm":
-            return len(pickle.dumps(task["payload"])) + 64
-        p = task["payload"]
-        n_ticks = task["n_ticks"]
-        n_s = p.deltas.size
-        state_bytes = sum(
-            np.asarray(p.state[f]).nbytes for f in _STATE_FIELDS
-        )
-        served_bytes = p.values.nbytes  # result mirror of the values chunk
-        sent_bytes = n_ticks * n_s
-        return int(
-            len(p.blob)
-            + p.values.nbytes
-            + p.deltas.nbytes
-            + 2 * state_bytes  # shipped down, shipped back
-            + served_bytes
-            + sent_bytes
-        )
 
     def _ensure_executor(self):
         if self._executor is None:
@@ -894,12 +735,7 @@ class ShardedFleetRuntime:
     def close(self) -> None:
         """Shut the pool down and release shared memory (idempotent)."""
         self._shutdown_executor()
-        for k, seg in enumerate(self._segments):
-            if seg is not None:
-                _WORKER_SEGMENTS.pop((self._token, k), None)
-                seg.close(unlink=True)
-            self._segments[k] = None
-            _ENGINE_REGISTRY.pop((self._token, k), None)
+        _cleanup_runtime(self._token, self.plan.n_shards, self._segments)
 
     def __enter__(self) -> "ShardedFleetRuntime":
         return self
@@ -913,86 +749,55 @@ class ShardedFleetRuntime:
     def state_snapshot(self) -> dict:
         """Global-fleet-order snapshot, same shape as the batch engine's.
 
-        Shard-local packed states are merged back to global stream order
-        and re-expanded to the per-stream list format, so the result is
-        interchangeable with
+        Each shard's committed packed state is expanded by its own
+        coordinator-side :class:`FleetEngine` (one packed↔list conversion
+        in the codebase, not two) and scattered back to global stream
+        order, so the result is interchangeable with
         :meth:`~repro.core.manager.FleetEngine.state_snapshot` — a
         checkpoint written by one backend restores into the other.
         """
-        x: list = [None] * self.n
-        p: list = [None] * self.n
-        warm = np.zeros(self.n, dtype=bool)
-        messages = np.zeros(self.n, dtype=int)
-        n_predicts = np.zeros(self.n, dtype=int)
-        n_updates = np.zeros(self.n, dtype=int)
-        n_censored = np.zeros(self.n, dtype=int)
-        for k in range(self.plan.n_shards):
-            state = self._packed[k]
-            idx = self.plan.assignments[k]
-            models = self._models_by_shard[k]
-            for local, global_i in enumerate(idx):
-                dx = models[local].dim_x
-                x[global_i] = np.array(state["x"][local, :dx], dtype=float)
-                p[global_i] = np.array(state["P"][local, :dx, :dx], dtype=float)
-            warm[idx] = np.asarray(state["warm"], dtype=bool)
-            messages[idx] = np.asarray(state["messages"], dtype=int)
-            n_predicts[idx] = np.asarray(state["n_predicts"], dtype=int)
-            n_updates[idx] = np.asarray(state["n_updates"], dtype=int)
-            n_censored[idx] = np.asarray(state["n_censored"], dtype=int)
-        return {
-            "x": x,
-            "P": p,
-            "warm": warm,
-            "messages": messages,
-            "ticks": self.ticks,
-            "n_predicts": n_predicts,
-            "n_updates": n_updates,
-            "n_censored": n_censored,
-        }
+        parts = []
+        for engine, packed in zip(self._engines, self._packed):
+            # Dirtying the coordinator's copy is harmless: every dispatch
+            # restores the shard's committed state first.
+            engine.restore_packed(packed)
+            parts.append(engine.state_snapshot())
+        snapshot: dict = {"ticks": self.ticks}
+        for name in ("x", "P"):
+            merged: list = [None] * self.n
+            for idx, part in zip(self.plan.assignments, parts):
+                for global_i, item in zip(idx, part[name]):
+                    merged[global_i] = item
+            snapshot[name] = merged
+        for name in _ACCOUNTING_FIELDS:
+            snapshot[name] = self.plan.merge([part[name] for part in parts])
+        return snapshot
 
     def restore_state(self, snapshot: dict) -> None:
         """Resume every shard from a global-fleet-order snapshot.
 
         Accepts exactly what :meth:`state_snapshot` (or the batch
         engine's) returns — including one decoded from a durable
-        checkpoint.  The global per-stream lists are packed into the
-        fixed-shape per-shard states the next dispatch resumes from.
+        checkpoint.  Each shard's slice goes through its
+        :class:`FleetEngine`'s own ``restore_state`` and comes back as
+        the packed state the next dispatch resumes from.
         """
         if len(snapshot["x"]) != self.n:
             raise ConfigurationError(
                 f"snapshot covers {len(snapshot['x'])} filters, fleet has {self.n}"
             )
-        warm = np.asarray(snapshot["warm"], dtype=bool)
-        messages = np.asarray(snapshot["messages"], dtype=int)
-        n_predicts = np.asarray(snapshot["n_predicts"], dtype=int)
-        n_updates = np.asarray(snapshot["n_updates"], dtype=int)
-        # Checkpoints written before censoring existed omit the counter.
-        n_censored = np.asarray(
-            snapshot.get("n_censored", np.zeros(self.n)), dtype=int
-        )
-        ticks = int(snapshot["ticks"])
-        for k in range(self.plan.n_shards):
-            idx = self.plan.assignments[k]
-            dxm = self._dxm_by_shard[k]
-            x = np.zeros((idx.size, dxm))
-            P = np.zeros((idx.size, dxm, dxm))
-            for local, global_i in enumerate(idx):
-                xi = np.asarray(snapshot["x"][global_i], dtype=float)
-                pi = np.asarray(snapshot["P"][global_i], dtype=float)
-                x[local, : xi.shape[0]] = xi
-                P[local, : pi.shape[0], : pi.shape[1]] = pi
-            self._packed[k] = {
-                "x": x,
-                "P": P,
-                "warm": warm[idx].copy(),
-                "messages": messages[idx].copy(),
-                "ticks": ticks,
-                "n_predicts": n_predicts[idx].copy(),
-                "n_updates": n_updates[idx].copy(),
-                "n_censored": n_censored[idx].copy(),
+        for k, (engine, idx) in enumerate(zip(self._engines, self.plan.assignments)):
+            part = {
+                name: np.asarray(snapshot[name])[idx]
+                for name in _ACCOUNTING_FIELDS
+                if name in snapshot  # pre-censoring checkpoints omit a counter
             }
-        self.ticks = ticks
-        self.messages = messages.copy()
+            for name in ("x", "P"):
+                part[name] = [snapshot[name][i] for i in idx]
+            engine.restore_state({**part, "ticks": snapshot["ticks"]})
+            self._packed[k] = engine.packed_state()
+        self.ticks = int(snapshot["ticks"])
+        self.messages = np.asarray(snapshot["messages"], dtype=int).copy()
 
     def checkpoint(self, store, *, meta: dict | None = None):
         """Commit the runtime's merged state as one durable generation.
@@ -1000,77 +805,37 @@ class ShardedFleetRuntime:
         Returns the new generation's
         :class:`~repro.durability.store.CheckpointInfo`.
         """
-        payload = {
-            "kind": "sharded_runtime",
-            "n": self.n,
-            "engine": self.state_snapshot(),
-        }
-        tel = self._tel
-        with tel.span("checkpoint_write"):
-            info = store.save(payload, tick=self.ticks, meta=meta)
-        if tel.enabled:
-            tel.inc("repro_checkpoint_writes_total")
-            tel.event(
-                tracing.CHECKPOINT_WRITE,
-                self.ticks,
-                generation=info.generation,
-                bytes=info.payload_bytes,
-            )
-        return info
+        return checkpoint_engine(
+            store,
+            self,
+            kind="sharded_runtime",
+            tick=self.ticks,
+            fields={"n": self.n},
+            meta=meta,
+            telemetry=self._tel,
+        )
 
     def recover_from_checkpoint(self, store, telemetry=None):
         """Restore from the newest verifiable generation in ``store``.
 
         The coordinator-restart path: in-memory shard states are gone, so
-        the runtime rebuilds them from disk through a
-        :class:`~repro.durability.recovery.StagedRecoverer` — a torn or
+        the runtime rebuilds them from disk through
+        :func:`~repro.durability.engine.recover_engine` — a torn or
         corrupt newest generation falls back to an older one, and nothing
         touches the live shard states until a generation has fully
-        verified and rehydrated into a shadow.  Returns the
+        verified and rehydrated into a detached shadow
+        :class:`FleetEngine`.  Returns the
         :class:`~repro.durability.recovery.RecoveryReport`; an empty
         store reports success with ``generation=None`` (cold start).
         """
-        from repro.durability.recovery import StagedRecoverer
-        from repro.errors import CheckpointError
-
-        def rehydrate(payload: dict, info) -> dict:
-            if payload.get("kind") != "sharded_runtime":
-                raise CheckpointError(
-                    f"generation {info.generation} holds "
-                    f"{payload.get('kind')!r}, not a sharded-runtime checkpoint"
-                )
-            if int(payload.get("n", -1)) != self.n:
-                raise CheckpointError(
-                    f"generation {info.generation} covers {payload.get('n')} "
-                    f"streams, fleet has {self.n}"
-                )
-            snapshot = payload["engine"]
-            # Prove the snapshot rebuilds a real engine before the live
-            # shard states are touched: restore into a detached shadow.
-            shadow = FleetEngine(
-                self.models,
-                self.deltas,
-                norm=self.norm,
-                kernel=self.kernel,
-                sketch=self.sketch,
-                censor_threshold=self.censor_threshold,
-            )
-            shadow.restore_state(snapshot)
-            return snapshot
-
-        def swap(snapshot: dict, info) -> None:
-            self.restore_state(snapshot)
-
-        recoverer = StagedRecoverer(
+        report, _ = recover_engine(
             store,
-            rehydrate,
-            swap,
+            self,
+            lambda: FleetEngine(self.models, self.deltas, **self._engine_kwargs),
+            kind="sharded_runtime",
+            expect={"n": self.n},
             telemetry=telemetry if telemetry is not None else self._tel,
         )
-        report = recoverer.recover()
-        if report.generation is not None:
-            for health in self.health:
-                health.rehydrations += 1
         return report
 
     # ------------------------------------------------------------------
@@ -1101,7 +866,7 @@ class ShardedFleetRuntime:
         return {
             "n_shards": self.plan.n_shards,
             "executor": self.executor_kind,
-            "transport": self.transport,
+            "transport": "shm",
             "kernel": self.kernel,
             "sketch_dim": None if self.sketch is None else self.sketch.dim,
             "censor_threshold": self.censor_threshold,

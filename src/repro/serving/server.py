@@ -51,7 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, replace
 from time import perf_counter
 
-from repro.dsms.operators import WindowAggregate
+from repro.dsms.operators import replay_aggregate
 from repro.dsms.tuples import StreamTuple
 from repro.errors import HistoryError, ServingError
 from repro.obs import tracing
@@ -230,24 +230,6 @@ class QueryServer:
         except HistoryError as exc:
             raise ServingError(str(exc)) from exc
 
-    @staticmethod
-    def _replay_aggregate(
-        members: tuple[StreamTuple, ...], aggregate: str
-    ) -> StreamTuple:
-        """Replay members through a real dsms operator — no own arithmetic.
-
-        The same construction :meth:`ServingStore.window_aggregate` and
-        :meth:`HistoryStore.range_aggregate` use, so an answer is
-        bitwise identical whichever tier resolved the members.
-        """
-        op = WindowAggregate(
-            aggregate, size=len(members), slide=1, emit_partial=True
-        )
-        out: list[StreamTuple] = []
-        for member in members:
-            out = op.process(member)
-        return out[0]
-
     def _evaluate(self, request: Query) -> tuple[tuple[StreamTuple, ...], str]:
         """Fresh, atomic evaluation; returns ``(tuples, provenance)``."""
         if isinstance(request, PointQuery):
@@ -269,7 +251,7 @@ class QueryServer:
                 )
             if isinstance(request, HistoryRangeQuery):
                 return members, provenance
-            return (self._replay_aggregate(members, request.aggregate),), provenance
+            return (replay_aggregate(members, request.aggregate),), provenance
         raise ServingError(f"unknown request type {type(request).__name__}")
 
     def _cache_get(

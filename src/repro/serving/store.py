@@ -21,7 +21,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.server import StreamServer
-from repro.dsms.operators import WindowAggregate
+from repro.dsms.operators import replay_aggregate
 from repro.dsms.precision_assignment import QueryRequirement, assign_stream_bounds
 from repro.dsms.tuples import StreamTuple
 from repro.errors import ServingError
@@ -259,8 +259,8 @@ class ServingStore:
     ) -> StreamTuple:
         """Aggregate over the last ``size`` served tuples, bounds propagated.
 
-        The window members are replayed through a fresh dsms
-        :class:`~repro.dsms.operators.WindowAggregate` — the serving tier
+        The window members go through
+        :func:`~repro.dsms.operators.replay_aggregate` — the serving tier
         adds no arithmetic of its own, so the answer's value and bound
         are bitwise identical to direct dsms evaluation of the same
         served values.  With ``emit_partial=False`` (the default) a
@@ -274,10 +274,4 @@ class ServingStore:
                 f"window of {size} has not warmed up (pass emit_partial=True "
                 f"to aggregate the available suffix)"
             )
-        op = WindowAggregate(aggregate, size=size, slide=1, emit_partial=True)
-        out: list[StreamTuple] = []
-        for member in members:
-            out = op.process(member)
-        # slide=1 + emit_partial=True emits on every push, so the last
-        # push's emission is the aggregate over exactly `members`.
-        return out[0]
+        return replay_aggregate(members, aggregate)

@@ -108,3 +108,52 @@ class TestAllocationAndRun:
                 model=fleet[0].model,
                 weight=0.0,
             )
+
+
+BACKENDS = ["scalar", "batch", "sharded"]
+
+
+class TestMalformedInputDiagnosedAtConstruction:
+    """Bad knobs are refused once, by name, identically on every backend —
+    not at the first probe(), and never by a raw arithmetic error."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("probe_ticks", [0, -5])
+    def test_probe_ticks_below_one_rejected(self, backend, probe_ticks):
+        with pytest.raises(ConfigurationError, match=f"probe_ticks.*{probe_ticks}"):
+            StreamResourceManager(
+                _fleet(ticks=50), probe_ticks=probe_ticks, backend=backend
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unknown_shard_executor_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="carrier-pigeon"):
+            StreamResourceManager(
+                _fleet(ticks=50), backend=backend, shard_executor="carrier-pigeon"
+            )
+
+    def test_thread_executor_no_longer_accepted(self):
+        with pytest.raises(ConfigurationError, match="thread"):
+            StreamResourceManager(
+                _fleet(ticks=50), backend="sharded", shard_executor="thread"
+            )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_unknown_kernel_rejected(self, backend):
+        with pytest.raises(ConfigurationError, match="fortran"):
+            StreamResourceManager(_fleet(ticks=50), backend=backend, kernel="fortran")
+
+    def test_shard_transport_knob_is_gone(self):
+        with pytest.raises(TypeError, match="shard_transport"):
+            StreamResourceManager(_fleet(ticks=50), shard_transport="shm")
+
+    @pytest.mark.parametrize("backend", ["scalar", "batch"])
+    @pytest.mark.parametrize("run_ticks", [0, -3])
+    def test_non_positive_run_ticks_rejected(self, backend, run_ticks):
+        manager = StreamResourceManager(
+            _fleet(ticks=700), probe_ticks=400, backend=backend
+        )
+        with pytest.raises(ConfigurationError, match=f"run_ticks.*{run_ticks}"):
+            manager.run(0.3, run_ticks=run_ticks)
+        with pytest.raises(ConfigurationError, match=f"run_ticks.*{run_ticks}"):
+            manager.run_supervised(0.3, run_ticks=run_ticks)

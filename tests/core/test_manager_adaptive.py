@@ -34,11 +34,14 @@ class TestAdaptiveMode:
         assert all(np.isfinite(r.mean_abs_error) for r in result.reports)
 
     def test_adaptive_flag_changes_policy_construction(self):
+        def first_policy(manager):
+            engine = manager._make_engine([manager.streams[0].model], np.ones(1))
+            return engine.policies[0]
+
         manager = StreamResourceManager(_fleet(), probe_ticks=600, adaptive=True)
-        policy = manager._make_policy(manager.streams[0].model, 1.0)
-        assert policy.source.adaptation is not None
+        assert first_policy(manager).source.adaptation is not None
         plain = StreamResourceManager(_fleet(), probe_ticks=600, adaptive=False)
-        assert plain._make_policy(plain.streams[0].model, 1.0).source.adaptation is None
+        assert first_policy(plain).source.adaptation is None
 
 
 class TestReportArithmetic:

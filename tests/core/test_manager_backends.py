@@ -17,6 +17,7 @@ from repro.core.manager import (
     _stack_fleet,
 )
 from repro.core.precision import AbsoluteBound
+from repro.core.reference import PolicyLoopEngine
 from repro.core.session import DualKalmanPolicy
 from repro.errors import ConfigurationError
 from repro.kalman.models import constant_velocity, random_walk
@@ -89,16 +90,26 @@ class TestEngineVsPolicy:
             DualKalmanPolicy(m, AbsoluteBound(float(d)))
             for m, d in zip(models, deltas)
         ]
+        # The reference engine is the same policy loop behind the engine
+        # surface: bitwise the hand-ticked policies, 1e-12 the batch lanes.
+        reference = PolicyLoopEngine(models, deltas).run(values)
+        assert reference.served.shape == values.shape
         for t in range(values.shape[0]):
             served, sent = engine.step(values[t])
+            np.testing.assert_array_equal(reference.sent[t], sent)
+            np.testing.assert_allclose(reference.served[t], served, atol=1e-12)
             for k, policy in enumerate(policies):
                 outcome = policy.tick(readings[k][t])
                 assert bool(sent[k]) == outcome.sent, (t, k)
                 if outcome.estimate is None:
                     assert np.isnan(served[k]).all(), (t, k)
+                    assert np.isnan(reference.served[t, k]).all(), (t, k)
                 else:
                     np.testing.assert_allclose(
                         served[k, :1], outcome.estimate, atol=1e-12
+                    )
+                    np.testing.assert_array_equal(
+                        reference.served[t, k, :1], outcome.estimate
                     )
                 # The stream's one true filter state matches the batch lane.
                 _, x, P = policy.filter_state()
@@ -107,6 +118,7 @@ class TestEngineVsPolicy:
         np.testing.assert_array_equal(
             engine.messages, [p.stats.total_messages for p in policies]
         )
+        np.testing.assert_array_equal(reference.messages_per_stream, engine.messages)
 
     def test_dropped_readings_coast(self):
         model = random_walk(process_noise=0.5, measurement_sigma=0.2)

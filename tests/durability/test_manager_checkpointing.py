@@ -107,6 +107,26 @@ class TestResume:
         assert list(map(_epoch_key, resumed.epochs)) == list(map(_epoch_key, tail))
         assert all(not e.recovered for e in resumed.epochs)
 
+    def test_parent_shape_scalar_checkpoint_still_resumes_bitwise(self, tmp_path):
+        """Scalar checkpoints written before the reference engine existed
+        keep their per-policy snapshots in a top-level ``"policies"`` dict
+        keyed by stream id (no ``"engine"`` entry); they must still resume."""
+        store = CheckpointStore(tmp_path / "ckpt", retain=10, fsync=False)
+        reference = _run("scalar", store=store)
+        legacy = CheckpointStore(tmp_path / "legacy", retain=10, fsync=False)
+        for info in store.generations():
+            payload = store.read(info)
+            snapshots = payload.pop("engine")["policies"]
+            payload["policies"] = dict(zip(payload["stream_ids"], snapshots))
+            legacy.save(payload, tick=info.tick, meta=info.meta)
+
+        resumed = _run("scalar", store=legacy, resume=True)
+        last = legacy.generations()[-1].meta["next_epoch"]
+        assert resumed.resumed_from_epoch == last
+        assert resumed.recovery.fallbacks == 0
+        tail = [e for e in reference.epochs if e.epoch >= last]
+        assert list(map(_epoch_key, resumed.epochs)) == list(map(_epoch_key, tail))
+
     def test_resume_from_empty_store_is_cold_start(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", fsync=False)
         result = _run("batch", store=store, resume=True)

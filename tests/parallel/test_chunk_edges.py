@@ -1,7 +1,7 @@
 """Chunked-dispatch edge cases: degenerate chunk sizes and partial tails.
 
 ``chunk_ticks`` trades round-trips for staleness bound; its edges are
-where resume bugs live.  Pinned here, on both transports: a chunk of one
+where resume bugs live.  Pinned here, for every transport kind: a chunk of one
 tick (maximum round-trips, state re-shipped every tick), a chunk larger
 than the window (single dispatch, the clamp path), a window that leaves
 a short partial tail chunk, and a worker that dies *on* that final

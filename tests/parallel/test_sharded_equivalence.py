@@ -5,10 +5,10 @@ send masks and message counts have to come out *bitwise* identical to
 :class:`~repro.core.manager.FleetEngine` whatever the shard count, plan
 strategy, executor kind or dispatch chunking — and the manager's
 ``backend="sharded"`` knob has to reproduce the batch backend's probe
-curves, reports and dynamic epochs exactly.  These tests run on the
-serial and thread executors so the full dispatch/merge/resume machinery
-is exercised cheaply on every push (process pools are covered by the
-worker-health suite and the scaling benchmark).
+curves, reports and dynamic epochs exactly.  Most cases run on the
+serial executor so the full dispatch/merge/resume machinery is
+exercised cheaply on every push; the executor-parametrized ones repeat
+it on a real process pool.
 """
 
 import numpy as np
@@ -60,7 +60,7 @@ def _assert_traces_equal(sharded, reference):
 
 
 class TestRuntimeEquivalence:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     @pytest.mark.parametrize("n_shards", [1, 3, 4])
     def test_bitwise_equal_to_fleet_engine(self, executor, n_shards):
         models = _models(11)
@@ -178,7 +178,7 @@ def _manager(backend, **kwargs):
 
 
 class TestManagerShardedBackend:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_probe_curves_identical(self, executor):
         batch = _manager("batch").probe()
         sharded = _manager(
@@ -187,7 +187,7 @@ class TestManagerShardedBackend:
         for b, s in zip(batch, sharded):
             assert b.a == s.a and b.b == s.b
 
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_main_run_reports_identical(self, executor):
         ref = _manager("batch").run(2.0, run_ticks=1500)
         got = _manager("sharded", n_shards=4, shard_executor=executor).run(

@@ -58,9 +58,8 @@ CENSOR = 1.0
 
 
 class TestShardedApproxParity:
-    @pytest.mark.parametrize("transport", ["shm", "pickle"])
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_bitwise_equal_to_batch_engine(self, executor, transport):
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_bitwise_equal_to_batch_engine(self, executor):
         models = _models(13)
         deltas = np.full(13, 0.8)
         values = _values(models, 200)
@@ -74,7 +73,6 @@ class TestShardedApproxParity:
             deltas,
             n_shards=4,
             executor=executor,
-            transport=transport,
             sketch=SKETCH,
             censor_threshold=CENSOR,
         ) as runtime:

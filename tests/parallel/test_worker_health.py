@@ -103,7 +103,7 @@ class TestRespawn:
     def test_healthy_run_reports_clean(self):
         models = _models(5)
         with ShardedFleetRuntime(
-            models, np.full(5, 0.8), n_shards=2, executor="thread"
+            models, np.full(5, 0.8), n_shards=2, executor="serial"
         ) as rt:
             rt.run(_values(models, 100))
         assert rt.total_respawns == 0
@@ -113,7 +113,7 @@ class TestRespawn:
 class TestProcessPool:
     """One small end-to-end check on real OS processes.
 
-    Kept tiny: pool start-up dominates, and the serial/thread suites
+    Kept tiny: pool start-up dominates, and the serial suites
     already exercise the identical dispatch/merge/resume code paths.
     """
 
