@@ -13,8 +13,8 @@ precision (mean |served - truth| in measurement space).  Two contracts
 are gated, not just reported:
 
 * **Exact recovery is bitwise**: the ``sketch dim == dim_z, censor 0``
-  cell must reproduce the plain ``kernel="numpy"`` engine's served
-  trace byte-for-byte (asserted in both quick and full mode).
+  cell must reproduce the plain exact engine's served trace
+  byte-for-byte (asserted in both quick and full mode).
 * **Throughput headroom** (full mode): the working approximate cell
   (sketch dim 2 + censoring) must clear 2x the exact path's throughput
   at N=100k.
@@ -77,9 +77,7 @@ def _run_cell(values, truth, sketch_dim, threshold):
     models = [_wide_model()] * N_STREAMS
     deltas = np.full(N_STREAMS, DELTA)
     sketch = None if sketch_dim is None else SketchConfig(dim=sketch_dim)
-    engine = FleetEngine(
-        models, deltas, kernel="numpy", sketch=sketch, censor_threshold=threshold
-    )
+    engine = FleetEngine(models, deltas, sketch=sketch, censor_threshold=threshold)
     t0 = time.perf_counter()
     trace = engine.run(values)
     elapsed = time.perf_counter() - t0

@@ -8,16 +8,9 @@ batched linear algebra — same suppression decisions, same messages, same
 served values — and sustains an order of magnitude more stream-ticks/sec
 at fleet sizes of a few hundred and beyond.  The two paths are asserted
 message-identical on every cell before any timing is trusted.
-
-The batch column is measured once per available compute kernel
-(``kernel="numpy"`` always; ``"numba"`` rides along when importable).
-The numpy kernel is the contract — its messages are asserted identical
-to the scalar path and its speedups are the headline — while the numba
-cells are informational (the compiled kernel is pinned to numpy at
-tolerance by ``tests/kalman/test_numba_kernel.py``, not bitwise, so its
-message counts are reported but not gated).
 """
 
+import os
 import time
 
 import numpy as np
@@ -27,14 +20,13 @@ from repro.core.precision import AbsoluteBound
 from repro.core.session import DualKalmanPolicy
 from repro.experiments.figures import ExperimentTable
 from repro.experiments.quickmode import QUICK, q
-from repro.kalman import NUMBA_AVAILABLE, models
+from repro.kalman import models
 from repro.streams.synthetic import RandomWalkStream
 
 # (fleet size, main-phase ticks): tick counts shrink as fleets grow so the
 # scalar reference stays affordable; throughput normalizes by both.
 FLEET_GRID = q([(16, 1500), (256, 400), (4096, 40)], [(8, 200), (32, 120)])
 DELTA = 1.0
-KERNELS = ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
 
 
 def _build_fleet(n_streams: int, n_ticks: int, seed: int = 17):
@@ -66,65 +58,51 @@ def _run_scalar(model_list, readings_per_stream):
     return messages
 
 
-def _run_batch(model_list, readings_per_stream, kernel):
+def _run_batch(model_list, readings_per_stream):
     # Matrix stacking is part of the batch path's honest cost.
     values, _ = _stack_fleet(readings_per_stream, 1)
-    engine = FleetEngine(
-        model_list, np.full(len(model_list), DELTA), kernel=kernel
-    )
+    engine = FleetEngine(model_list, np.full(len(model_list), DELTA))
     trace = engine.run(values)
     return int(trace.sent.sum())
 
 
-def fleet_scaling_table() -> tuple[ExperimentTable, dict[str, dict[int, float]]]:
+def fleet_scaling_table() -> tuple[ExperimentTable, dict[int, float]]:
     table = ExperimentTable(
         experiment_id="T5",
-        title=(
-            "Fleet-scaling throughput (stream-ticks/sec), scalar vs batch "
-            f"(kernels: {', '.join(KERNELS)})"
-        ),
+        title="Fleet-scaling throughput (stream-ticks/sec), scalar vs batch",
         headers=[
             "N streams",
             "ticks",
-            "kernel",
             "scalar kticks/s",
             "batch kticks/s",
             "speedup",
             "messages",
         ],
     )
-    speedups: dict[str, dict[int, float]] = {k: {} for k in KERNELS}
+    speedups: dict[int, float] = {}
     for n_streams, n_ticks in FLEET_GRID:
         model_list, readings_per_stream = _build_fleet(n_streams, n_ticks)
         t0 = time.perf_counter()
         scalar_msgs = _run_scalar(model_list, readings_per_stream)
         t1 = time.perf_counter()
+        batch_msgs = _run_batch(model_list, readings_per_stream)
+        t2 = time.perf_counter()
+        assert scalar_msgs == batch_msgs, (
+            f"backends disagree at N={n_streams}: {scalar_msgs} != {batch_msgs}"
+        )
         scalar_tps = n_streams * n_ticks / (t1 - t0)
-        for kernel in KERNELS:
-            t2 = time.perf_counter()
-            batch_msgs = _run_batch(model_list, readings_per_stream, kernel)
-            t3 = time.perf_counter()
-            if kernel == "numpy":
-                # The numpy kernel is the contract: message-identical to
-                # the scalar path.  The numba kernel is tolerance-pinned,
-                # so its count is reported, not gated.
-                assert scalar_msgs == batch_msgs, (
-                    f"backends disagree at N={n_streams}: "
-                    f"{scalar_msgs} != {batch_msgs}"
-                )
-            batch_tps = n_streams * n_ticks / (t3 - t2)
-            speedups[kernel][n_streams] = batch_tps / scalar_tps
-            table.rows.append(
-                [
-                    n_streams,
-                    n_ticks,
-                    kernel,
-                    round(scalar_tps / 1e3, 1),
-                    round(batch_tps / 1e3, 1),
-                    round(batch_tps / scalar_tps, 1),
-                    batch_msgs,
-                ]
-            )
+        batch_tps = n_streams * n_ticks / (t2 - t1)
+        speedups[n_streams] = batch_tps / scalar_tps
+        table.rows.append(
+            [
+                n_streams,
+                n_ticks,
+                round(scalar_tps / 1e3, 1),
+                round(batch_tps / 1e3, 1),
+                round(batch_tps / scalar_tps, 1),
+                batch_msgs,
+            ]
+        )
     return table, speedups
 
 
@@ -133,25 +111,15 @@ def test_table5_fleet_scaling(benchmark, record_result):
     if not QUICK:
         # Acceptance: the batch engine is at least 5x the scalar path at
         # 256 streams, and keeps scaling at 4096.
-        assert speedups["numpy"][256] >= 5.0, speedups
-        assert speedups["numpy"][4096] >= 5.0, speedups
-    headline = {
-        # Headline key stays the numpy kernel's curve so committed
-        # baselines compare like-for-like across revisions.
-        "speedups": {
-            str(n): round(s, 2) for n, s in speedups["numpy"].items()
-        },
-        "kernels": list(KERNELS),
-    }
-    for kernel in KERNELS:
-        if kernel == "numpy":
-            continue
-        headline[f"speedups_{kernel}"] = {
-            str(n): round(s, 2) for n, s in speedups[kernel].items()
-        }
+        assert speedups[256] >= 5.0, speedups
+        assert speedups[4096] >= 5.0, speedups
     record_result(
         "T5_fleet_scaling",
         table.render(),
-        params={"fleet_grid": [list(cell) for cell in FLEET_GRID], "delta": DELTA},
-        headline=headline,
+        params={
+            "fleet_grid": [list(cell) for cell in FLEET_GRID],
+            "delta": DELTA,
+            "host_cores": os.cpu_count() or 1,
+        },
+        headline={"speedups": {str(n): round(s, 2) for n, s in speedups.items()}},
     )

@@ -35,8 +35,8 @@ builds:
   worker, the budget allocator stays *global* (one multiplier across all
   shards, re-balanced every dynamic epoch), and merged results are
   bitwise-equal to ``backend="batch"`` (pinned by ``tests/parallel``).
-  See ``benchmarks/bench_table6_shard_scaling.py`` for speedup vs shard
-  count.
+  Not a measured speed-up — T6 on 2 cores: 0.57-1.15x of ``"batch"``,
+  >=4 cores unmeasured — so ``"batch"`` is the recommended default.
 """
 
 from __future__ import annotations
@@ -59,10 +59,13 @@ from repro.core.precision import AbsoluteBound
 from repro.core.protocol import HEADER_BYTES
 from repro.core.session import SupervisedSession
 from repro.core.supervision import RecoveryStats, SupervisionConfig
-from repro.durability.engine import checkpoint_engine, recover_engine
+from repro.durability.engine import (
+    checkpoint_engine,
+    recover_engine,
+    validated_snapshot,
+)
 from repro.errors import AllocationError, CheckpointError, ConfigurationError
 from repro.kalman.batch import BatchKalmanFilter
-from repro.kalman.kernels import resolve_kernel
 from repro.kalman.models import ProcessModel
 from repro.kalman.sketch import SketchConfig
 from repro.obs import tracing
@@ -356,6 +359,18 @@ def _validated_deltas(deltas: np.ndarray, n: int) -> np.ndarray:
     return deltas
 
 
+#: Per-stream fields of both :class:`FleetEngine` state formats.
+_ACCOUNTING_FIELDS = ("warm", "messages", "n_predicts", "n_updates", "n_censored")
+_STATE_FIELDS = ("x", "P") + _ACCOUNTING_FIELDS
+
+
+def _validated_state(state: dict, n: int) -> dict:
+    """Either :class:`FleetEngine` state format, checked before a restore mutates."""
+    return validated_snapshot(
+        state, n, _STATE_FIELDS, scalars=("ticks",), optional=("n_censored",)
+    )
+
+
 class FleetEngine:
     """Vectorized dual-Kalman suppression over a whole fleet.
 
@@ -384,13 +399,9 @@ class FleetEngine:
             batch path records the same ``repro_ticks_total`` /
             ``repro_messages_total`` / ``repro_suppressed_ticks_total``
             counters the scalar policy does (one per stream-tick /
-            update), plus a ``batch_step[<kernel>]`` span per fleet tick
-            (the span name carries the resolved kernel label); it emits
-            no per-stream trace events, which would defeat vectorization.
-        kernel: Compute kernel for the filter hot loop —
-            ``"numpy"`` (default), ``"numba"`` (opt-in; falls back to
-            numpy when numba is absent) or ``"auto"``.  See
-            :mod:`repro.kalman.kernels`.
+            update), plus a ``batch_step[numpy]`` span per fleet tick;
+            it emits no per-stream trace events, which would defeat
+            vectorization.
         sketch: Optional :class:`~repro.kalman.sketch.SketchConfig` —
             sketched measurement updates (see :mod:`repro.kalman.sketch`).
             When active the per-tick span is named ``batch_step[sketch]``
@@ -407,24 +418,20 @@ class FleetEngine:
         deltas: np.ndarray,
         norm: str = "max",
         telemetry=None,
-        kernel: str = "numpy",
         sketch: SketchConfig | None = None,
         censor_threshold: float = 0.0,
     ):
         if norm not in ("max", "l2"):
             raise ConfigurationError(f"unknown norm {norm!r}; expected 'max' or 'l2'")
         self.filters = BatchKalmanFilter(
-            models, kernel=kernel, sketch=sketch, censor_threshold=censor_threshold
+            models, sketch=sketch, censor_threshold=censor_threshold
         )
-        #: The resolved compute kernel in use ("numpy"/"numba").
-        self.kernel = self.filters.kernel
         self.sketch = sketch
         self.censor_threshold = self.filters.censor_threshold
         #: True when the filter bank runs sketched/censored updates.
         self.approx = self.filters.approx
-        self._span_name = (
-            "batch_step[sketch]" if self.approx else f"batch_step[{self.kernel}]"
-        )
+        # Span names are an external interface (dashboards, benchmarks/e2e): fixed.
+        self._span_name = "batch_step[sketch]" if self.approx else "batch_step[numpy]"
         self.n = self.filters.n
         self.norm = norm
         self.set_deltas(deltas)
@@ -474,10 +481,7 @@ class FleetEngine:
 
     def restore_state(self, snapshot: dict) -> None:
         """Resume from a :meth:`state_snapshot` (exact, bitwise)."""
-        if len(snapshot["x"]) != self.n:
-            raise ConfigurationError(
-                f"snapshot covers {len(snapshot['x'])} filters, engine has {self.n}"
-            )
+        _validated_state(snapshot, self.n)
         for i, (x, p) in enumerate(zip(snapshot["x"], snapshot["P"])):
             self.filters.set_state(i, x, p)
         self._restore_accounting(snapshot)
@@ -506,6 +510,7 @@ class FleetEngine:
         field is copied on the way in, so the engine never aliases the
         caller's storage.
         """
+        _validated_state(state, self.n)
         self.filters.set_packed_states(state["x"], state["P"])
         self._restore_accounting(state)
 
@@ -738,16 +743,11 @@ class StreamResourceManager:
         shard_executor: Executor kind for ``backend="sharded"``:
             ``"process"`` (CPU-bound main runs) or ``"serial"`` (tests
             and strict determinism).  Validated for every backend.
-        kernel: Compute kernel for the batch filter hot loop on the
-            ``"batch"`` and ``"sharded"`` backends — ``"numpy"``
-            (default), ``"numba"`` (opt-in; clean numpy fallback when
-            numba is absent) or ``"auto"``.  Validated for every backend,
-            ignored by ``"scalar"``.
         sketch: Optional :class:`~repro.kalman.sketch.SketchConfig` for
             sketched measurement updates on the ``"batch"`` and
             ``"sharded"`` backends (see :mod:`repro.kalman.sketch`).
-            Unlike ``kernel`` this knob *changes results*, so requesting
-            it with ``backend="scalar"`` raises
+            This knob *changes results*, so requesting it with
+            ``backend="scalar"`` raises
             :class:`~repro.errors.ConfigurationError` rather than being
             silently ignored.
         censor_threshold: Censor measurement updates whose normalized
@@ -771,7 +771,6 @@ class StreamResourceManager:
         backend: str = "scalar",
         n_shards: int = 4,
         shard_executor: str = "process",
-        kernel: str = "numpy",
         sketch: SketchConfig | None = None,
         censor_threshold: float = 0.0,
         telemetry=None,
@@ -805,13 +804,11 @@ class StreamResourceManager:
                 f"unknown shard_executor {shard_executor!r}; "
                 f"expected one of {EXECUTOR_KINDS}"
             )
-        resolve_kernel(kernel)  # raises on an unknown name, whatever the backend
         if backend == "scalar" and (
             sketch is not None or float(censor_threshold) != 0.0
         ):
-            # kernel= is a pure optimization hint and is silently ignored
-            # by the scalar backend; sketch/censor change served results,
-            # so ignoring them would be dishonest.
+            # sketch/censor change served results, so silently ignoring
+            # them on the exact backend would be dishonest.
             raise ConfigurationError(
                 "sketch/censor_threshold require backend='batch' or "
                 "'sharded'; the scalar path is always exact"
@@ -823,7 +820,6 @@ class StreamResourceManager:
         self.backend = backend
         self.n_shards = n_shards
         self.shard_executor = shard_executor
-        self.kernel = kernel
         self.sketch = sketch
         self.censor_threshold = float(censor_threshold)
         self._tel = resolve_telemetry(telemetry)
@@ -853,11 +849,7 @@ class StreamResourceManager:
             return PolicyLoopEngine(
                 models, deltas, adaptive=self.adaptive, telemetry=tel
             )
-        approx = dict(
-            kernel=self.kernel,
-            sketch=self.sketch,
-            censor_threshold=self.censor_threshold,
-        )
+        approx = dict(sketch=self.sketch, censor_threshold=self.censor_threshold)
         if self.backend == "sharded" and not detached:
             from repro.parallel.runtime import ShardedFleetRuntime
 

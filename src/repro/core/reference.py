@@ -17,7 +17,7 @@ from repro.core.adaptive import AdaptationPolicy
 from repro.core.manager import FleetTrace, _validated_deltas, _validated_values
 from repro.core.precision import AbsoluteBound
 from repro.core.session import DualKalmanPolicy
-from repro.errors import ConfigurationError
+from repro.durability.engine import validated_snapshot
 from repro.kalman.models import ProcessModel
 from repro.streams.base import Reading
 
@@ -97,11 +97,7 @@ class PolicyLoopEngine:
 
     def restore_state(self, snapshot: dict) -> None:
         """Resume from a :meth:`state_snapshot` (exact, bitwise)."""
-        if len(snapshot["policies"]) != self.n:
-            raise ConfigurationError(
-                f"snapshot covers {len(snapshot['policies'])} policies, "
-                f"engine has {self.n}"
-            )
+        validated_snapshot(snapshot, self.n, per_stream=("policies",))
         for policy, state in zip(self.policies, snapshot["policies"]):
             policy.restore_policy(state)
 

@@ -10,10 +10,13 @@ every operator so answers come with sound error bars.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from repro.errors import QueryError
 
-__all__ = ["StreamTuple"]
+__all__ = ["StreamTuple", "served_ticks"]
 
 
 @dataclass(frozen=True)
@@ -56,3 +59,32 @@ class StreamTuple:
             value=float(value),
             bound=self.bound if bound is None else float(bound),
         )
+
+
+def served_ticks(
+    stream_ids: Sequence[str],
+    served: np.ndarray,
+    t0: float,
+    component: int,
+    error: type[Exception],
+) -> Iterator[list[tuple[str, float, float]]]:
+    """Walk a ``(T, N, dim)`` served trace one tick at a time.
+
+    Yields, per tick ``k``, the ``(stream_id, t0 + k, value)`` of every
+    stream whose ``component`` is not NaN (a cold, pre-warm-up stream).
+    The one walker behind the serving ring's bulk load and the archive's
+    bulk and live feeds, so they cannot drift apart on what they skip or
+    reject: a wrong shape or a ``component`` outside ``[0, dim)`` raises
+    ``error`` (each feed's own type) before anything is yielded.
+    """
+    served = np.asarray(served, dtype=float)
+    if served.ndim != 3 or served.shape[1] != len(stream_ids):
+        raise error(
+            f"served must have shape (T, {len(stream_ids)}, dim), got {served.shape}"
+        )
+    if not 0 <= component < served.shape[2]:
+        raise error(f"served has dim {served.shape[2]}, no component {component}")
+    return (
+        [(sid, t0 + k, v) for sid, v in zip(stream_ids, column.tolist()) if v == v]
+        for k, column in enumerate(served[:, :, component])
+    )

@@ -16,11 +16,11 @@ from typing import Callable
 
 from repro.durability.recovery import RecoveryReport, StagedRecoverer
 from repro.durability.store import CheckpointInfo, CheckpointStore
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
-__all__ = ["checkpoint_engine", "recover_engine"]
+__all__ = ["checkpoint_engine", "recover_engine", "validated_snapshot"]
 
 
 def checkpoint_engine(
@@ -54,6 +54,33 @@ def checkpoint_engine(
             bytes=info.payload_bytes,
         )
     return info
+
+
+def validated_snapshot(
+    snapshot: dict,
+    n: int,
+    per_stream: tuple[str, ...],
+    scalars: tuple[str, ...] = (),
+    optional: tuple[str, ...] = (),
+) -> dict:
+    """``snapshot`` with every required field present and ``n`` long, or raise.
+
+    An engine's ``restore_state`` calls this first, so a truncated
+    snapshot is refused — :class:`~repro.errors.ConfigurationError`
+    naming the field — while the live engine is still exactly as it was.
+    ``optional`` per-stream fields may be absent, but not short.
+    """
+    required = [name for name in per_stream + scalars if name not in optional]
+    missing = [name for name in required if name not in snapshot]
+    if missing:
+        raise ConfigurationError(f"snapshot is missing required field(s) {missing}")
+    for name in per_stream:
+        if name in snapshot and len(snapshot[name]) != n:
+            raise ConfigurationError(
+                f"snapshot field {name!r} covers {len(snapshot[name])} streams, "
+                f"engine has {n}"
+            )
+    return snapshot
 
 
 def _engine_snapshot(payload: dict) -> dict:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.durability.codec import dumps_payload
-from repro.dsms.tuples import StreamTuple
+from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import HistoryError
 from repro.history.db import connect, ensure_schema
 from repro.obs import tracing
@@ -153,17 +153,9 @@ class ArchiveWriter:
         Tick ``k`` is archived at time ``t0 + k``; NaN (pre-warm-up)
         entries skip, matching :meth:`ServingStore.load_fleet_history`.
         """
-        served = np.asarray(served, dtype=float)
-        if served.ndim != 3 or served.shape[1] != len(stream_ids):
-            raise HistoryError(
-                f"served must have shape (T, {len(stream_ids)}, dim), "
-                f"got {served.shape}"
-            )
-        for k in range(served.shape[0]):
-            for i, sid in enumerate(stream_ids):
-                v = served[k, i, component]
-                if not np.isnan(v):
-                    self.ingest(sid, t0 + k, float(v))
+        for tick in served_ticks(stream_ids, served, t0, component, HistoryError):
+            for sid, t, v in tick:
+                self.ingest(sid, t, v)
 
     def on_tick(
         self, stream_ids: list[str], t0: float = 0.0, component: int = 0
@@ -171,10 +163,9 @@ class ArchiveWriter:
         """A live-feed callback for ``FleetEngine.run(values, on_tick=...)``."""
 
         def feed(t, served_t, sent_t) -> None:
-            for i, sid in enumerate(stream_ids):
-                v = served_t[i, component]
-                if not np.isnan(v):
-                    self.ingest(sid, t0 + t, float(v))
+            # One tick of the bulk walk: same shape/component checks.
+            row = np.asarray(served_t)[None]
+            self.archive_fleet(stream_ids, row, t0 + t, component)
 
         return feed
 

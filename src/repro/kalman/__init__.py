@@ -17,7 +17,6 @@ from repro.kalman.ekf import (
     wrap_angle,
 )
 from repro.kalman.filter import KalmanFilter, StepRecord
-from repro.kalman.kernels import NUMBA_AVAILABLE, resolve_kernel
 from repro.kalman.models import (
     ProcessModel,
     constant_acceleration,
@@ -46,8 +45,6 @@ __all__ = [
     "range_bearing",
     "wrap_angle",
     "StepRecord",
-    "NUMBA_AVAILABLE",
-    "resolve_kernel",
     "ProcessModel",
     "random_walk",
     "constant_velocity",

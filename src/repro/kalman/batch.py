@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, DimensionError
-from repro.kalman.kernels import get_lane_kernels, resolve_kernel
+from repro.kalman.kernels import predict_lane, update_lane
 from repro.kalman.models import ProcessModel
 from repro.kalman.sketch import SketchConfig, censor_keep, sketch_lane
 
@@ -80,11 +80,6 @@ class BatchKalmanFilter:
         models: One :class:`~repro.kalman.models.ProcessModel` per filter.
         x0s: Optional initial state means, one per filter (``None`` entries
             start at zero like the scalar filter).
-        kernel: Compute kernel for the lane hot loop — ``"numpy"``
-            (default), ``"numba"`` (opt-in fused ``@njit``; falls back to
-            numpy when numba is not installed) or ``"auto"``.  See
-            :mod:`repro.kalman.kernels`.  The resolved choice is exposed
-            as :attr:`kernel`.
         sketch: Optional :class:`~repro.kalman.sketch.SketchConfig` —
             project each lane's measurements to ``sketch.dim`` components
             before the batched solve (lanes with ``dim_z <= sketch.dim``
@@ -95,17 +90,17 @@ class BatchKalmanFilter:
             filters coast predict-only; their covariances keep growing
             honestly and their skips are counted in :attr:`n_censored`.
 
-    When neither approximation is active (no sketched lane and a zero
-    censor threshold) the exact update path runs byte-for-byte unchanged
-    — :attr:`approx` is ``False`` and results are bitwise identical to a
-    filter constructed without the knobs.
+    There is one update loop: a lane without a sketch skips the
+    projection and a zero threshold skips the censor test, so whenever
+    :attr:`approx` is ``False`` (which includes a sketch at least as wide
+    as every lane) results are bitwise identical to a filter constructed
+    without the knobs.
     """
 
     def __init__(
         self,
         models: Sequence[ProcessModel],
         x0s: Sequence[np.ndarray | None] | None = None,
-        kernel: str = "numpy",
         sketch: SketchConfig | None = None,
         censor_threshold: float = 0.0,
     ):
@@ -130,9 +125,6 @@ class BatchKalmanFilter:
         self.n = len(models)
         self.dim_z_max = max(m.dim_z for m in models)
         self.dim_x_max = max(m.dim_x for m in models)
-        #: The resolved compute kernel actually in use ("numpy"/"numba").
-        self.kernel = resolve_kernel(kernel)
-        self._predict_lane, self._update_lane = get_lane_kernels(self.kernel)
         self.sketch = sketch
         self.censor_threshold = censor_threshold
         self.n_predicts = np.zeros(self.n, dtype=int)
@@ -154,8 +146,8 @@ class BatchKalmanFilter:
             for pos, i in enumerate(idx):
                 self._where[i] = (len(self._lanes), pos)
             self._lanes.append(lane)
-        #: True when any approximation is active.  When False the update
-        #: path below is the exact branch, untouched — bitwise recovery.
+        #: True when any approximation is active (read-only: names the
+        #: engine's step span and gates its censored-counter drain).
         self.approx = censor_threshold > 0.0 or any(
             lane.Phi is not None for lane in self._lanes
         )
@@ -188,7 +180,7 @@ class BatchKalmanFilter:
             sel = mask[lane.indices]
             if not sel.any():
                 continue
-            x_new, P_new = self._predict_lane(lane.F, lane.Q, lane.x, lane.P)
+            x_new, P_new = predict_lane(lane.F, lane.Q, lane.x, lane.P)
             if sel.all():
                 lane.x, lane.P = x_new, P_new
             else:
@@ -198,6 +190,12 @@ class BatchKalmanFilter:
 
     def update(self, zs: np.ndarray, mask: np.ndarray | None = None) -> None:
         """Fold measurements into selected filters (Joseph-form, batched).
+
+        Per lane: gather the selected rows, project them through the
+        lane's sketch (when it has one), censor rows whose normalized
+        innovation falls below the threshold (when one is set), and run
+        the lane update on the survivors only.  Censored rows keep their
+        predicted mean and covariance — the bound widens honestly.
 
         Args:
             zs: ``(N, dim_z_max)`` measurement array; only the first
@@ -211,42 +209,16 @@ class BatchKalmanFilter:
                 f"zs must have shape ({self.n}, {self.dim_z_max}), got {zs.shape}"
             )
         mask = self._as_mask(mask)
-        if self.approx:
-            self._update_approx(zs, mask)
-            return
+        censoring = self.censor_threshold > 0.0
+        censored = None  # (N,) mask, allocated by the first censored row
         for lane in self._lanes:
             sel = mask[lane.indices]
             if not sel.any():
                 continue
-            if sel.all():
-                # Whole lane selected — no gather/scatter round-trip.
+            if sel.all() and lane.Phi is None and not censoring:
+                # Whole lane, nothing to project or censor: no gather/scatter.
                 z = zs[lane.indices, : lane.dim_z]
-                lane.x, lane.P = self._update_lane(
-                    lane.x, lane.P, lane.H, lane.R, z
-                )
-            else:
-                li = np.nonzero(sel)[0]
-                z = zs[lane.indices[li], : lane.dim_z]
-                x, P = self._update_lane(
-                    lane.x[li], lane.P[li], lane.H[li], lane.R[li], z
-                )
-                lane.x[li] = x
-                lane.P[li] = P
-        self.n_updates[mask] += 1
-
-    def _update_approx(self, zs: np.ndarray, mask: np.ndarray) -> None:
-        """Sketched/censored update path (only entered when :attr:`approx`).
-
-        Per lane: project the selected measurements through the lane's
-        sketch (when one exists), censor rows whose normalized
-        innovation falls below the threshold, and run the lane update
-        kernel on the survivors only.  Censored rows keep their
-        predicted mean and covariance — the bound widens honestly.
-        """
-        censored = np.zeros(self.n, dtype=bool)
-        for lane in self._lanes:
-            sel = mask[lane.indices]
-            if not sel.any():
+                lane.x, lane.P = update_lane(lane.x, lane.P, lane.H, lane.R, z)
                 continue
             li = np.nonzero(sel)[0]
             gidx = lane.indices[li]
@@ -260,7 +232,7 @@ class BatchKalmanFilter:
             else:
                 H, R = lane.H[li], lane.R[li]
             x, P = lane.x[li], lane.P[li]
-            if self.censor_threshold > 0.0:
+            if censoring:
                 keep = censor_keep(x, P, H, R, z, self.censor_threshold)
                 if not keep.all():
                     n_cens = int(li.size - np.count_nonzero(keep))
@@ -268,15 +240,18 @@ class BatchKalmanFilter:
                     self._censored_pending[group] = (
                         self._censored_pending.get(group, 0) + n_cens
                     )
+                    if censored is None:
+                        censored = np.zeros(self.n, dtype=bool)
                     censored[gidx[~keep]] = True
                     li, z = li[keep], z[keep]
                     x, P, H, R = x[keep], P[keep], H[keep], R[keep]
             if li.size:
-                x_new, P_new = self._update_lane(x, P, H, R, z)
-                lane.x[li] = x_new
-                lane.P[li] = P_new
-        self.n_updates[mask & ~censored] += 1
-        self.n_censored[censored] += 1
+                lane.x[li], lane.P[li] = update_lane(x, P, H, R, z)
+        if censored is None:
+            self.n_updates[mask] += 1
+        else:
+            self.n_updates[mask & ~censored] += 1
+            self.n_censored[censored] += 1
 
     def drain_censored(self) -> dict[str, int]:
         """Censored-update counts per ``"{dim_x}x{dim_z}"`` group since

@@ -1,33 +1,9 @@
-"""Compute kernels for the batched Kalman hot loop.
+"""Lane kernels for the batched Kalman hot loop.
 
 The :class:`~repro.kalman.batch.BatchKalmanFilter` advances each
 homogeneous *lane* (one ``(dim_x, dim_z)`` group of stacked filters) by
 calling exactly two functions per cycle — a lane predict and a lane
-Joseph-form update.  This module provides interchangeable implementations
-of that pair behind a ``kernel=`` knob:
-
-* ``"numpy"`` (the default) — pure-numpy batched linear algebra, with
-  closed-form specializations for the 1-dimensional lanes that dominate
-  telemetry fleets: a ``(M, 1, 1)`` stacked solve is a single vector
-  divide, and a ``(M, 1, 1)`` matmul chain is three elementwise
-  multiplies.  The scalarized fast paths are *bitwise* identical to
-  this module's general elementwise path (same operations in the same
-  order, just without the per-tiny-matrix dispatch overhead), so
-  switching fleet sizes or mixing dimensions never changes a served
-  bit.  Relative to the pre-kernel engine, replacing LAPACK's 1x1
-  ``gesv`` (a reciprocal-multiply) with a true divide moves the last
-  bit on ~a quarter of updates — at least as accurate, and covered by
-  the atol-pinned batch-vs-scalar and golden suites.
-* ``"numba"`` — an opt-in fused ``@njit`` kernel compiled with
-  ``fastmath=True``.  Fused multiply-adds reassociate floating point, so
-  this kernel is *not* bitwise-equal to numpy; it is pinned to the numpy
-  kernel at tight tolerance by ``tests/kalman/test_numba_kernel.py``
-  instead.  numba is an optional extra: when it is not importable the
-  resolver falls back to the numpy kernel cleanly (guard-tested), so the
-  knob is always safe to set.
-* ``"auto"`` — ``"numba"`` when available, else ``"numpy"``.
-
-Both implementations expose the same lane-level signatures::
+Joseph-form update::
 
     predict_lane(F, Q, x, P)    -> (x_new, P_new)
     update_lane(x, P, H, R, z)  -> (x_new, P_new)
@@ -35,55 +11,35 @@ Both implementations expose the same lane-level signatures::
 with ``F/Q/P`` stacked ``(M, dim_x, dim_x)``, ``H`` ``(M, dim_z,
 dim_x)``, ``R`` ``(M, dim_z, dim_z)``, ``x`` ``(M, dim_x)`` and ``z``
 ``(M, dim_z)``.  A singular innovation covariance raises
-:class:`~repro.errors.FilterDivergenceError` from either kernel.
+:class:`~repro.errors.FilterDivergenceError`.
+
+Both are pure-numpy batched linear algebra, with closed-form
+specializations for the 1-dimensional lanes that dominate telemetry
+fleets: a ``(M, 1, 1)`` stacked solve is a single vector divide, and a
+``(M, 1, 1)`` matmul chain is three elementwise multiplies.  The
+scalarized fast paths are *bitwise* identical to this module's general
+elementwise path (same operations in the same order, just without the
+per-tiny-matrix dispatch overhead), so switching fleet sizes or mixing
+dimensions never changes a served bit.  Relative to LAPACK's 1x1
+``gesv`` (a reciprocal-multiply) the true divide moves the last bit on
+~a quarter of updates — at least as accurate, and covered by the
+atol-pinned batch-vs-scalar and golden suites.
+
+There is one implementation on purpose: source and server must run exact
+replicas of one filter, so every engine (batch, sharded, sketch-recover)
+goes through these two functions and stays bitwise-equal to the others.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, FilterDivergenceError
+from repro.errors import FilterDivergenceError
 
-__all__ = [
-    "KERNEL_KINDS",
-    "NUMBA_AVAILABLE",
-    "resolve_kernel",
-    "get_lane_kernels",
-]
-
-KERNEL_KINDS = ("auto", "numpy", "numba")
-
-try:  # numba is an optional extra; the numpy kernel is always available
-    from numba import njit  # type: ignore
-
-    NUMBA_AVAILABLE = True
-except Exception:  # pragma: no cover - exercised only where numba is absent
-    njit = None
-    NUMBA_AVAILABLE = False
+__all__ = ["predict_lane", "update_lane"]
 
 
-def resolve_kernel(kernel: str) -> str:
-    """Resolve a requested kernel name to the one that will actually run.
-
-    ``"auto"`` picks numba when importable; requesting ``"numba"``
-    without numba installed falls back to ``"numpy"`` cleanly (the knob
-    is an optimization hint, never a hard dependency).
-    """
-    if kernel not in KERNEL_KINDS:
-        raise ConfigurationError(
-            f"unknown kernel {kernel!r}; expected one of {KERNEL_KINDS}"
-        )
-    if kernel == "auto":
-        return "numba" if NUMBA_AVAILABLE else "numpy"
-    if kernel == "numba" and not NUMBA_AVAILABLE:
-        return "numpy"
-    return kernel
-
-
-# ----------------------------------------------------------------------
-# numpy kernel
-# ----------------------------------------------------------------------
-def _predict_lane_numpy(F, Q, x, P):
+def predict_lane(F, Q, x, P):
     """``x = F x``, ``P = F P F' + Q``, re-symmetrize — whole lane."""
     if x.shape[1] == 1:
         # (M, 1, 1) matmuls are single multiplies; the chain below is
@@ -97,7 +53,7 @@ def _predict_lane_numpy(F, Q, x, P):
     return x_new, 0.5 * (P_new + P_new.transpose(0, 2, 1))
 
 
-def _update_lane_numpy(x, P, H, R, z):
+def update_lane(x, P, H, R, z):
     """Joseph-form measurement update for a whole (sub-)lane."""
     dim_x = x.shape[1]
     dim_z = z.shape[1]
@@ -146,157 +102,3 @@ def _update_lane_numpy(x, P, H, R, z):
     IKH = np.eye(dim_x) - K @ H
     P_new = IKH @ P @ IKH.transpose(0, 2, 1) + K @ R @ K.transpose(0, 2, 1)
     return x_new, 0.5 * (P_new + P_new.transpose(0, 2, 1))
-
-
-# ----------------------------------------------------------------------
-# numba kernel (optional extra)
-# ----------------------------------------------------------------------
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, fastmath=True)
-    def _predict_lane_numba_jit(F, Q, x, P):  # pragma: no cover - needs numba
-        M, dx = x.shape
-        x_out = np.empty_like(x)
-        P_out = np.empty_like(P)
-        FP = np.empty((dx, dx))
-        for i in range(M):
-            for r in range(dx):
-                acc = 0.0
-                for c in range(dx):
-                    acc += F[i, r, c] * x[i, c]
-                x_out[i, r] = acc
-            for r in range(dx):
-                for c in range(dx):
-                    acc = 0.0
-                    for k in range(dx):
-                        acc += F[i, r, k] * P[i, k, c]
-                    FP[r, c] = acc
-            for r in range(dx):
-                for c in range(dx):
-                    acc = Q[i, r, c]
-                    for k in range(dx):
-                        acc += FP[r, k] * F[i, c, k]
-                    P_out[i, r, c] = acc
-            for r in range(dx):
-                for c in range(r + 1, dx):
-                    sym = 0.5 * (P_out[i, r, c] + P_out[i, c, r])
-                    P_out[i, r, c] = sym
-                    P_out[i, c, r] = sym
-        return x_out, P_out
-
-    @njit(cache=True, fastmath=True)
-    def _update_lane_numba_jit(x, P, H, R, z):  # pragma: no cover - needs numba
-        M, dx = x.shape
-        dz = z.shape[1]
-        x_out = x.copy()
-        P_out = P.copy()
-        PHT = np.empty((dx, dz))
-        S = np.empty((dz, dz))
-        K = np.empty((dx, dz))
-        y = np.empty(dz)
-        IKH = np.empty((dx, dx))
-        AP = np.empty((dx, dx))
-        KR = np.empty((dx, dz))
-        ok = True
-        for i in range(M):
-            for r in range(dz):
-                acc = z[i, r]
-                for c in range(dx):
-                    acc -= H[i, r, c] * x[i, c]
-                y[r] = acc
-            for r in range(dx):
-                for c in range(dz):
-                    acc = 0.0
-                    for k in range(dx):
-                        acc += P[i, r, k] * H[i, c, k]
-                    PHT[r, c] = acc
-            for r in range(dz):
-                for c in range(dz):
-                    acc = R[i, r, c]
-                    for k in range(dx):
-                        acc += H[i, r, k] * PHT[k, c]
-                    S[r, c] = acc
-            if dz == 1:
-                if S[0, 0] == 0.0:
-                    ok = False
-                    break
-                inv = 1.0 / S[0, 0]
-                for r in range(dx):
-                    K[r, 0] = PHT[r, 0] * inv
-            else:
-                # K' = solve(S', PHT') — raises LinAlgError on a singular
-                # pivot, surfaced by the python wrapper.
-                Kt = np.linalg.solve(
-                    np.ascontiguousarray(S.T), np.ascontiguousarray(PHT.T)
-                )
-                for r in range(dx):
-                    for c in range(dz):
-                        K[r, c] = Kt[c, r]
-            for r in range(dx):
-                acc = 0.0
-                for c in range(dz):
-                    acc += K[r, c] * y[c]
-                x_out[i, r] = x[i, r] + acc
-            for r in range(dx):
-                for c in range(dx):
-                    acc = 1.0 if r == c else 0.0
-                    for k in range(dz):
-                        acc -= K[r, k] * H[i, k, c]
-                    IKH[r, c] = acc
-            for r in range(dx):
-                for c in range(dx):
-                    acc = 0.0
-                    for k in range(dx):
-                        acc += IKH[r, k] * P[i, k, c]
-                    AP[r, c] = acc
-            for r in range(dx):
-                for c in range(dz):
-                    acc = 0.0
-                    for k in range(dz):
-                        acc += K[r, k] * R[i, k, c]
-                    KR[r, c] = acc
-            for r in range(dx):
-                for c in range(dx):
-                    acc = 0.0
-                    for k in range(dx):
-                        acc += AP[r, k] * IKH[c, k]
-                    for k in range(dz):
-                        acc += KR[r, k] * K[c, k]
-                    P_out[i, r, c] = acc
-            for r in range(dx):
-                for c in range(r + 1, dx):
-                    sym = 0.5 * (P_out[i, r, c] + P_out[i, c, r])
-                    P_out[i, r, c] = sym
-                    P_out[i, c, r] = sym
-        return x_out, P_out, ok
-
-    def _predict_lane_numba(F, Q, x, P):  # pragma: no cover - needs numba
-        return _predict_lane_numba_jit(F, Q, x, P)
-
-    def _update_lane_numba(x, P, H, R, z):  # pragma: no cover - needs numba
-        try:
-            x_new, P_new, ok = _update_lane_numba_jit(x, P, H, R, z)
-        except np.linalg.LinAlgError as exc:
-            raise FilterDivergenceError(
-                f"innovation covariance became singular: {exc}"
-            ) from exc
-        if not ok:
-            raise FilterDivergenceError(
-                "innovation covariance became singular: zero pivot"
-            )
-        return x_new, P_new
-
-
-def get_lane_kernels(kernel: str):
-    """``(predict_lane, update_lane)`` for a *resolved* kernel name."""
-    if kernel == "numpy":
-        return _predict_lane_numpy, _update_lane_numpy
-    if kernel == "numba":
-        if not NUMBA_AVAILABLE:  # pragma: no cover - resolver prevents this
-            raise ConfigurationError(
-                "kernel='numba' requested but numba is not importable"
-            )
-        return _predict_lane_numba, _update_lane_numba
-    raise ConfigurationError(
-        f"unresolved kernel {kernel!r}; call resolve_kernel() first"
-    )

@@ -8,8 +8,10 @@ for tests and determinism.  Because every stream's
 filter is independent, a shard's engine computes *bitwise* the same
 per-stream estimates, send decisions and message counts as the
 single-engine batch path; the runtime's merge step scatters shard
-results back to global stream order, so ``backend="sharded"`` is a pure
-wall-clock choice (equivalence-tested on every push).
+results back to global stream order, so ``backend="sharded"`` changes
+wall-clock only (equivalence-tested on every push) — for the worse on
+the 2-core host it has been timed on (T6: 0.57-1.15x of one batch
+engine; >=4 cores unmeasured, see ``docs/tuning.md``).
 
 Design rules:
 
@@ -57,14 +59,16 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.core.manager import (
+    _ACCOUNTING_FIELDS,
+    _STATE_FIELDS,
     FleetEngine,
     FleetTrace,
     _validated_deltas,
+    _validated_state,
     _validated_values,
 )
 from repro.durability.engine import checkpoint_engine, recover_engine
 from repro.errors import ConfigurationError, ShardingError
-from repro.kalman.kernels import resolve_kernel
 from repro.obs import tracing
 from repro.obs.telemetry import Telemetry, resolve_telemetry
 from repro.parallel.executors import EXECUTOR_KINDS, make_executor
@@ -93,9 +97,6 @@ _ENGINE_REGISTRY: dict[tuple[str, int], FleetEngine] = {}
 _WORKER_SEGMENTS: dict[tuple[str, int], "_ShardSegment"] = {}
 
 _TOKENS = itertools.count()
-
-_ACCOUNTING_FIELDS = ("warm", "messages", "n_predicts", "n_updates", "n_censored")
-_STATE_FIELDS = ("x", "P") + _ACCOUNTING_FIELDS
 
 
 @dataclass
@@ -363,10 +364,6 @@ class ShardedFleetRuntime:
             before the run is abandoned with :class:`ShardingError`.
         transport: Vestigial — ``"shm"`` (zero-copy shared-memory
             arrays, headers-only dispatch) is the only legal value.
-        kernel: Compute kernel for the per-shard batch engines —
-            ``"numpy"`` (default), ``"numba"`` or ``"auto"``; see
-            :mod:`repro.kalman.kernels`.  The resolved name is exposed
-            as :attr:`kernel`.
         sketch: Optional :class:`~repro.kalman.sketch.SketchConfig` for
             sketched measurement updates on every shard engine (see
             :mod:`repro.kalman.sketch`).  The projection is seeded per
@@ -395,7 +392,6 @@ class ShardedFleetRuntime:
         chunk_ticks: int | None = None,
         max_respawns: int = 2,
         transport: str = "shm",
-        kernel: str = "numpy",
         sketch=None,
         censor_threshold: float = 0.0,
         telemetry=None,
@@ -432,7 +428,6 @@ class ShardedFleetRuntime:
         self.plan = plan
         self.norm = norm
         self.executor_kind = executor
-        self.kernel = resolve_kernel(kernel)
         self.sketch = sketch
         self.censor_threshold = float(censor_threshold)
         self.max_workers = max_workers if max_workers is not None else plan.n_shards
@@ -457,7 +452,6 @@ class ShardedFleetRuntime:
         self._segment_gen = 0
         self._engine_kwargs = dict(
             norm=norm,
-            kernel=self.kernel,
             sketch=self.sketch,
             censor_threshold=self.censor_threshold,
         )
@@ -508,6 +502,9 @@ class ShardedFleetRuntime:
         n_ticks = values.shape[0]
         served = np.full(values.shape, np.nan)
         sent = np.zeros((n_ticks, self.n), dtype=bool)
+        if n_ticks == 0:
+            # An empty trace, like the in-process engines; no segment is sized.
+            return FleetTrace(served=served, sent=sent)
         deltas_by_shard = self.plan.split(self.deltas)
         values_by_shard = self.plan.split(values, axis=1)
         widths = [engine.filters.dim_z_max for engine in self._engines]
@@ -782,10 +779,7 @@ class ShardedFleetRuntime:
         :class:`FleetEngine`'s own ``restore_state`` and comes back as
         the packed state the next dispatch resumes from.
         """
-        if len(snapshot["x"]) != self.n:
-            raise ConfigurationError(
-                f"snapshot covers {len(snapshot['x'])} filters, fleet has {self.n}"
-            )
+        _validated_state(snapshot, self.n)
         for k, (engine, idx) in enumerate(zip(self._engines, self.plan.assignments)):
             part = {
                 name: np.asarray(snapshot[name])[idx]
@@ -867,7 +861,6 @@ class ShardedFleetRuntime:
             "n_shards": self.plan.n_shards,
             "executor": self.executor_kind,
             "transport": "shm",
-            "kernel": self.kernel,
             "sketch_dim": None if self.sketch is None else self.sketch.dim,
             "censor_threshold": self.censor_threshold,
             "total_respawns": self.total_respawns,

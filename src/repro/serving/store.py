@@ -17,13 +17,14 @@ evaluation of the same served values produces (pinned by
 from __future__ import annotations
 
 from collections import deque
+from math import isfinite
 
 import numpy as np
 
 from repro.core.server import StreamServer
 from repro.dsms.operators import replay_aggregate
 from repro.dsms.precision_assignment import QueryRequirement, assign_stream_bounds
-from repro.dsms.tuples import StreamTuple
+from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import ServingError
 
 __all__ = ["ServingStore"]
@@ -111,9 +112,9 @@ class ServingStore:
         the ring is a contiguous *sorted* suffix of the served history,
         and :meth:`oldest_t`, :meth:`tuples_between` and hybrid
         live+historical stitching all rely on that invariant.  An
-        out-of-order or duplicate timestamp raises
-        :class:`~repro.errors.ServingError` instead of silently
-        corrupting the ring.
+        out-of-order or duplicate timestamp — or a non-finite ``t`` or
+        ``value`` — raises :class:`~repro.errors.ServingError` before
+        anything is mutated, instead of silently corrupting the ring.
         """
         delta = self.bounds.get(stream_id)
         if delta is None:
@@ -121,6 +122,14 @@ class ServingStore:
                                f"{sorted(self.bounds)}")
         ring = self._rings[stream_id]
         t = float(t)
+        value = float(value)
+        # A NaN ``t`` slips past the monotonicity test below (every NaN
+        # comparison is False) and unsorts the ring; a non-finite value is
+        # only refused by the archive's eviction hook, after the ring drop.
+        if not (isfinite(t) and isfinite(value)):
+            raise ServingError(
+                f"non-finite ingest for stream {stream_id!r}: t={t!r}, value={value!r}"
+            )
         if ring and t <= ring[-1].t:
             raise ServingError(
                 f"non-monotone ingest for stream {stream_id!r}: t={t!r} is "
@@ -130,7 +139,7 @@ class ServingStore:
             )
         evicted = ring[0] if len(ring) == ring.maxlen else None
         ring.append(
-            StreamTuple(t=t, stream_id=stream_id, value=float(value), bound=delta)
+            StreamTuple(t=t, stream_id=stream_id, value=value, bound=delta)
         )
         self.version += 1
         if evicted is not None and self.on_evict is not None:
@@ -175,23 +184,9 @@ class ServingStore:
         ingest of a cold stream).  Tick ``k`` is ingested at time
         ``t0 + k``; the staleness clock advances once per tick.
         """
-        served = np.asarray(served, dtype=float)
-        if served.ndim != 3 or served.shape[1] != len(stream_ids):
-            raise ServingError(
-                f"served must have shape (T, {len(stream_ids)}, dim), "
-                f"got {served.shape}"
-            )
-        if not 0 <= component < served.shape[2]:
-            # Same diagnosed surface as ingest_tick — never a raw
-            # IndexError out of the indexing below.
-            raise ServingError(
-                f"served has dim {served.shape[2]}, no component {component}"
-            )
-        for k in range(served.shape[0]):
-            for i, sid in enumerate(stream_ids):
-                v = served[k, i, component]
-                if not np.isnan(v):
-                    self.ingest(sid, t0 + k, float(v))
+        for tick in served_ticks(stream_ids, served, t0, component, ServingError):
+            for sid, t, v in tick:
+                self.ingest(sid, t, v)
             self.advance_tick()
 
     # -- queries --------------------------------------------------------

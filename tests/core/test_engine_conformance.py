@@ -140,11 +140,64 @@ class TestEngineSurface:
                 reference if isinstance(engine, PolicyLoopEngine) else snapshot
             )
 
+    def test_truncated_snapshot_rejected_before_anything_is_overwritten(
+        self, make_engine
+    ):
+        values = _values()
+        donor = make_engine()
+        donor.run(values[:SPLIT])
+        snapshot = donor.state_snapshot()
+        engine = make_engine()
+        engine.run(values[:20])
+        untouched = dumps_payload(engine.state_snapshot())
+        for field in snapshot:
+            if field == "n_censored":  # optional: pre-censoring checkpoints
+                continue
+            truncated = {k: v for k, v in snapshot.items() if k != field}
+            with pytest.raises(ConfigurationError, match=field):
+                engine.restore_state(truncated)
+            assert dumps_payload(engine.state_snapshot()) == untouched
+            if field != "ticks":
+                short = {**snapshot, field: snapshot[field][:-1]}
+                with pytest.raises(ConfigurationError, match=field):
+                    engine.restore_state(short)
+                assert dumps_payload(engine.state_snapshot()) == untouched
+
+    def test_zero_tick_run_is_an_empty_trace_and_a_no_op(self, make_engine):
+        values = _values()
+        engine = make_engine()
+        engine.run(values[:SPLIT])
+        before = dumps_payload(engine.state_snapshot())
+        empty = engine.run(np.zeros((0, len(MODELS), 2)))
+        assert empty.served.shape == (0, len(MODELS), 2)
+        assert empty.sent.shape == (0, len(MODELS))
+        assert dumps_payload(engine.state_snapshot()) == before
+        # ... on a never-run engine too (no segment has been sized yet).
+        assert make_engine().run(np.zeros((0, len(MODELS), 2))).sent.shape[0] == 0
+
     def test_close_is_idempotent(self, make_engine):
         engine = make_engine()
         engine.run(_values(20))
         engine.close()
         engine.close()
+
+
+def test_restore_packed_validates_like_restore_state():
+    """The dense state format gets the same up-front check."""
+    engine = FleetEngine(MODELS, DELTAS)
+    engine.run(_values(30))
+    packed = engine.packed_state()
+    other = FleetEngine(MODELS, DELTAS)
+    untouched = dumps_payload(other.state_snapshot())
+    with pytest.raises(ConfigurationError, match="warm"):
+        other.restore_packed({k: v for k, v in packed.items() if k != "warm"})
+    with pytest.raises(ConfigurationError, match="messages"):
+        other.restore_packed({**packed, "messages": packed["messages"][:-1]})
+    assert dumps_payload(other.state_snapshot()) == untouched
+    other.restore_packed(packed)
+    assert dumps_payload(other.state_snapshot()) == dumps_payload(
+        engine.state_snapshot()
+    )
 
 
 def test_three_engines_agree():

@@ -140,8 +140,9 @@ class TestMalformedInputDiagnosedAtConstruction:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_unknown_kernel_rejected(self, backend):
-        with pytest.raises(ConfigurationError, match="fortran"):
-            StreamResourceManager(_fleet(ticks=50), backend=backend, kernel="fortran")
+        # There is one compute kernel and no knob: every name is unknown.
+        with pytest.raises(TypeError, match="kernel"):
+            StreamResourceManager(_fleet(ticks=50), backend=backend, kernel="numpy")
 
     def test_shard_transport_knob_is_gone(self):
         with pytest.raises(TypeError, match="shard_transport"):

@@ -144,6 +144,20 @@ class TestThreeFeeds:
             lo, hi, _ = bulk.span(sid)
             assert live.range_query(sid, lo, hi) == bulk.range_query(sid, lo, hi)
 
+    @pytest.mark.parametrize("component", [3, -1])
+    def test_archive_feeds_diagnose_a_bad_component(self, db, component):
+        # One walker behind load_fleet_history / archive_fleet / on_tick:
+        # pre-fix, 3 was a raw IndexError and -1 archived the last component.
+        served = np.arange(12.0).reshape(2, 2, 3)
+        with ArchiveWriter(db, {"a": 0.1, "b": 0.1}) as w:
+            with pytest.raises(HistoryError, match=f"no component {component}"):
+                w.archive_fleet(["a", "b"], served, component=component)
+            with pytest.raises(HistoryError, match=f"no component {component}"):
+                w.on_tick(["a", "b"], component=component)(0, served[0], None)
+            with pytest.raises(HistoryError, match="shape"):
+                w.archive_fleet(["a"], served)
+        assert HistoryStore(db).row_count() == 0
+
     def test_eviction_feed_plus_drain_equals_bulk(self, tmp_path):
         engine, values, deltas = _fleet()
         sids = ["s0", "s1", "s2"]

@@ -1,67 +1,55 @@
-"""Kernel resolution and the numpy lane kernels' exactness contracts.
+"""The lane kernels' exactness contracts — and the absence of a knob.
 
-The ``kernel=`` knob must be safe to set anywhere (``"numba"`` without
-numba falls back to numpy cleanly — the CI guard for a numba-less host
-lives here), and the numpy kernel's dimension-specialized fast paths
-must be *bitwise* identical to the general stacked path they shortcut:
-the 1-D scalarized predict/update and the ``dim_z == 1`` broadcast-divide
-solve are pinned against the explicit matmul/solve formulation on the
-same inputs.  Divergence surfaces as
+There is one compute kernel (:mod:`repro.kalman.kernels`), so nothing
+selects one: ``kernel=`` on any constructor that used to thread it is a
+``TypeError``.  The kernel's dimension-specialized fast paths must be
+*bitwise* identical to the general stacked path they shortcut: the 1-D
+scalarized predict/update and the ``dim_z == 1`` broadcast-divide solve
+are pinned against the explicit matmul/solve formulation on the same
+inputs.  Divergence surfaces as
 :class:`~repro.errors.FilterDivergenceError` from every branch.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.manager import FleetEngine
-from repro.errors import ConfigurationError, FilterDivergenceError
+from repro.core.manager import FleetEngine, ManagedStream, StreamResourceManager
+from repro.errors import FilterDivergenceError
 from repro.kalman.batch import BatchKalmanFilter
-from repro.kalman.kernels import (
-    KERNEL_KINDS,
-    NUMBA_AVAILABLE,
-    _predict_lane_numpy,
-    _update_lane_numpy,
-    get_lane_kernels,
-    resolve_kernel,
+from repro.kalman.kernels import predict_lane, update_lane
+from repro.kalman.models import random_walk
+from repro.parallel import ShardedFleetRuntime
+from repro.streams import RandomWalkStream, record
+
+_MODELS = [random_walk(process_noise=0.1) for _ in range(2)]
+
+
+def _managed():
+    return [
+        ManagedStream("s", record(RandomWalkStream(seed=3), 8), _MODELS[0])
+    ]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda **kw: BatchKalmanFilter(_MODELS, **kw),
+        lambda **kw: FleetEngine(_MODELS, np.ones(2), **kw),
+        lambda **kw: ShardedFleetRuntime(
+            _MODELS, np.ones(2), n_shards=2, executor="serial", **kw
+        ),
+        lambda **kw: StreamResourceManager(_managed(), probe_ticks=4, **kw),
+    ],
+    ids=["BatchKalmanFilter", "FleetEngine", "ShardedFleetRuntime", "manager"],
 )
-from repro.kalman.models import constant_velocity, random_walk
-
-
-class TestResolution:
-    def test_numpy_resolves_to_itself(self):
-        assert resolve_kernel("numpy") == "numpy"
-
-    def test_auto_prefers_numba_when_available(self):
-        expected = "numba" if NUMBA_AVAILABLE else "numpy"
-        assert resolve_kernel("auto") == expected
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_kernel("fortran")
-        assert set(KERNEL_KINDS) == {"auto", "numpy", "numba"}
-
-    def test_unresolved_name_rejected_by_kernel_lookup(self):
-        with pytest.raises(ConfigurationError):
-            get_lane_kernels("auto")
-
-    @pytest.mark.skipif(NUMBA_AVAILABLE, reason="guards the numba-less host")
-    def test_numba_request_falls_back_cleanly_without_numba(self):
-        """The CI guard: on a host without numba, asking for the numba
-        kernel silently selects numpy everywhere the knob threads."""
-        assert resolve_kernel("numba") == "numpy"
-        batch = BatchKalmanFilter([random_walk(process_noise=0.1)], kernel="numba")
-        assert batch.kernel == "numpy"
-        engine = FleetEngine(
-            [random_walk(process_noise=0.1)], np.ones(1), kernel="numba"
-        )
-        assert engine.kernel == "numpy"
-
-    def test_engine_threads_kernel_into_span_name(self):
-        engine = FleetEngine(
-            [random_walk(process_noise=0.1)], np.ones(1), kernel="numpy"
-        )
-        assert engine.kernel == "numpy"
-        assert engine._span_name == "batch_step[numpy]"
+def test_kernel_keyword_is_gone(build):
+    """No vestigial keyword: even the old default value is refused."""
+    with pytest.raises(TypeError, match="kernel"):
+        build(kernel="numpy")
+    built = build()
+    assert not hasattr(built, "kernel")
+    if hasattr(built, "close"):
+        built.close()
 
 
 def _lanes_1d(m=257, seed=5):
@@ -81,7 +69,7 @@ class TestScalarizedFastPathsBitwise:
 
     def test_predict_1d_bitwise_equals_stacked_matmul(self):
         F, Q, x, P, _, _, _ = _lanes_1d()
-        x_fast, P_fast = _predict_lane_numpy(F, Q, x, P)
+        x_fast, P_fast = predict_lane(F, Q, x, P)
         x_gen = (F @ x[..., None])[..., 0]
         P_gen = F @ P @ F.transpose(0, 2, 1) + Q
         P_gen = 0.5 * (P_gen + P_gen.transpose(0, 2, 1))
@@ -90,7 +78,7 @@ class TestScalarizedFastPathsBitwise:
 
     def test_update_1d_bitwise_equals_stacked_joseph(self):
         _, _, x, P, H, R, z = _lanes_1d()
-        x_fast, P_fast = _update_lane_numpy(x, P, H, R, z)
+        x_fast, P_fast = update_lane(x, P, H, R, z)
         y = z - (H @ x[..., None])[..., 0]
         PHT = P @ H.transpose(0, 2, 1)
         S = H @ PHT + R
@@ -118,7 +106,7 @@ class TestScalarizedFastPathsBitwise:
         H = rng.normal(0.8, 0.1, (m, 1, 2))
         R = rng.uniform(0.1, 1.0, (m, 1, 1))
         z = rng.normal(0, 1, (m, 1))
-        x_new, P_new = _update_lane_numpy(x, P, H, R, z)
+        x_new, P_new = update_lane(x, P, H, R, z)
         PHT = P @ H.transpose(0, 2, 1)
         S = H @ PHT + R
         K = np.linalg.solve(
@@ -138,7 +126,7 @@ class TestDivergenceSurface:
         R = np.full((3, 1, 1), -1.0)  # S = H P H' + R = 0
         z = np.zeros((3, 1))
         with pytest.raises(FilterDivergenceError):
-            _update_lane_numpy(x, P, H, R, z)
+            update_lane(x, P, H, R, z)
 
     def test_broadcast_path_zero_pivot(self):
         x = np.zeros((2, 2))
@@ -147,7 +135,7 @@ class TestDivergenceSurface:
         R = np.zeros((2, 1, 1))
         z = np.zeros((2, 1))
         with pytest.raises(FilterDivergenceError):
-            _update_lane_numpy(x, P, H, R, z)
+            update_lane(x, P, H, R, z)
 
     def test_general_solve_singular(self):
         x = np.zeros((2, 2))
@@ -156,20 +144,4 @@ class TestDivergenceSurface:
         R = np.zeros((2, 2, 2))
         z = np.zeros((2, 2))
         with pytest.raises(FilterDivergenceError):
-            _update_lane_numpy(x, P, H, R, z)
-
-
-class TestKernelKnobOnBatch:
-    def test_batch_filter_exposes_resolved_kernel(self):
-        models = [random_walk(process_noise=0.1), constant_velocity()]
-        batch = BatchKalmanFilter(models, kernel="numpy")
-        assert batch.kernel == "numpy"
-        with pytest.raises(ConfigurationError):
-            BatchKalmanFilter(models, kernel="gpu")
-
-    def test_auto_runs_whatever_is_available(self):
-        models = [random_walk(process_noise=0.1) for _ in range(4)]
-        batch = BatchKalmanFilter(models, kernel="auto")
-        assert batch.kernel in {"numpy", "numba"}
-        batch.predict()
-        batch.update(np.zeros((4, 1)))
+            update_lane(x, P, H, R, z)

@@ -3,8 +3,7 @@
 The contract gated here (and in CI's sketch-equivalence step): with the
 sketch dimension at or above every lane's measurement dimension and a
 zero censor threshold, the approximate machinery must not engage at all
-— results are *bitwise* identical to the plain exact batch path on
-every available kernel.  Plus the approximation semantics themselves:
+— results are *bitwise* identical to the plain exact batch path.  Plus the approximation semantics themselves:
 censored rows coast predict-only with growing covariance, sketched
 lanes project deterministically, the knobs thread through
 ``FleetEngine``/``StreamResourceManager``, and telemetry counts what
@@ -16,14 +15,13 @@ import pytest
 
 from repro.core.manager import FleetEngine, ManagedStream, StreamResourceManager
 from repro.errors import ConfigurationError
-from repro.kalman import NUMBA_AVAILABLE, SketchConfig, models, sketch_matrix
+from repro.kalman import SketchConfig, models, sketch_matrix
 from repro.kalman.batch import BatchKalmanFilter
+from repro.kalman.kernels import update_lane
 from repro.kalman.sketch import censor_keep, sketch_lane
 from repro.obs import Telemetry
 from repro.streams.replay import record
 from repro.streams.synthetic import RandomWalkStream
-
-KERNELS = ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
 
 
 def _wide_model(dim_z=4, name="wide"):
@@ -107,12 +105,11 @@ class TestSketchMatrix:
 class TestExactRecovery:
     """sketch dim >= dim_z + censor 0 => bitwise the exact path."""
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_bitwise_identical_filter_states(self, kernel):
+    def test_bitwise_identical_filter_states(self):
         ms = _mixed_fleet()
-        exact = BatchKalmanFilter(ms, kernel=kernel)
+        exact = BatchKalmanFilter(ms)
         recovered = BatchKalmanFilter(
-            ms, kernel=kernel, sketch=SketchConfig(dim=4), censor_threshold=0.0
+            ms, sketch=SketchConfig(dim=4), censor_threshold=0.0
         )
         assert not recovered.approx
         xa, Pa = _drive(exact)
@@ -122,19 +119,17 @@ class TestExactRecovery:
         np.testing.assert_array_equal(exact.n_updates, recovered.n_updates)
         assert recovered.n_censored.sum() == 0
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_bitwise_identical_engine_trace(self, kernel):
+    def test_bitwise_identical_engine_trace(self):
         ms = _mixed_fleet()
         deltas = np.full(len(ms), 0.8)
         rng = np.random.default_rng(4)
         vals = np.full((30, len(ms), 4), np.nan)
         vals[:, :7, :] = rng.normal(size=(30, 7, 4))
         vals[:, 7:, 0] = rng.normal(size=(30, 5))
-        exact = FleetEngine(ms, deltas, kernel=kernel).run(vals)
+        exact = FleetEngine(ms, deltas).run(vals)
         recovered = FleetEngine(
             ms,
             deltas,
-            kernel=kernel,
             sketch=SketchConfig(dim=4),
             censor_threshold=0.0,
         ).run(vals)
@@ -142,13 +137,11 @@ class TestExactRecovery:
         np.testing.assert_array_equal(exact.sent, recovered.sent)
 
     def test_exact_recovery_pinned_to_numpy_kernel(self):
-        # The acceptance contract names kernel="numpy" explicitly.
+        # The numpy lane kernel is the only one: no knob, same contract.
         ms = _mixed_fleet(3, 3)
-        xa, Pa = _drive(BatchKalmanFilter(ms, kernel="numpy"))
+        xa, Pa = _drive(BatchKalmanFilter(ms))
         xb, Pb = _drive(
-            BatchKalmanFilter(
-                ms, kernel="numpy", sketch=SketchConfig(dim=4), censor_threshold=0
-            )
+            BatchKalmanFilter(ms, sketch=SketchConfig(dim=4), censor_threshold=0)
         )
         np.testing.assert_array_equal(xa, xb)
         np.testing.assert_array_equal(Pa, Pb)
@@ -268,6 +261,59 @@ class TestSketchedUpdates:
         _, Pe = exact.packed_states()
         _, Ps = sketched.packed_states()
         assert np.all(Ps[:, 0, 0] >= Pe[:, 0, 0] - 1e-12)
+
+
+class TestOneUpdateLoop:
+    """Exact and sketched lanes, partial masks and censoring share one loop."""
+
+    def test_mixed_fleet_equals_per_row_reference(self):
+        cfg, tau = SketchConfig(dim=2, seed=5), 0.75
+        ms = _mixed_fleet(6, 6)  # 1x4 lane gets sketched, 1x1 lane stays exact
+        bank = BatchKalmanFilter(ms, sketch=cfg, censor_threshold=tau)
+        rng = np.random.default_rng(17)
+        bank.predict()
+        bank.update(rng.normal(scale=3.0, size=(bank.n, 4)))  # leave the prior
+        bank.predict()
+        bank.drain_censored()
+        before = [(bank.x_of(i), bank.P_of(i)) for i in range(bank.n)]
+        upd0, cens0 = bank.n_updates.copy(), bank.n_censored.copy()
+
+        # Even rows sit exactly on their prediction (zero innovation, so
+        # the censor test drops them); odd rows are four sigmas off it.
+        zs = np.nan_to_num(bank.measurement_estimates())
+        sigma = np.sqrt(bank.measurement_variances()[:, 0, 0])
+        zs[1::2] += (4.0 * sigma * rng.choice([-1.0, 1.0], size=bank.n))[1::2, None]
+        mask = np.ones(bank.n, dtype=bool)
+        mask[[0, 5, 6, 11]] = False
+        bank.update(zs, mask)
+
+        outcome = {}
+        for i, (m, (x, P)) in enumerate(zip(ms, before)):
+            x, P = x[None], P[None]
+            if mask[i]:
+                H, R, z = m.H[None], m.R[None], zs[i : i + 1, : m.dim_z]
+                sketched = sketch_lane(H, R, cfg)
+                if sketched is not None:
+                    Phi, H, R = sketched
+                    z = (Phi @ z[..., None])[..., 0]
+                kept = bool(censor_keep(x, P, H, R, z, tau)[0])
+                if kept:
+                    x, P = update_lane(x, P, H, R, z)
+                outcome[i] = (m.dim_z, kept)
+            np.testing.assert_array_equal(bank.x_of(i), x[0])
+            np.testing.assert_array_equal(bank.P_of(i), P[0])
+
+        kept = np.array([outcome.get(i, (0, False))[1] for i in range(bank.n)])
+        np.testing.assert_array_equal(bank.n_updates - upd0, kept.astype(int))
+        np.testing.assert_array_equal(
+            bank.n_censored - cens0, (mask & ~kept).astype(int)
+        )
+        # Every branch was taken: both lanes kept some rows and censored others.
+        assert {(4, True), (4, False), (1, True), (1, False)} <= set(outcome.values())
+        assert bank.drain_censored() == {
+            f"1x{dz}": sum(1 for v in outcome.values() if v == (dz, False))
+            for dz in (1, 4)
+        }
 
 
 class TestEngineWiring:

@@ -1,6 +1,6 @@
-"""Regression tests for the serving-tier bugfix sweep.
+"""Regression tests for the serving-tier bugfix sweeps.
 
-Three defects pinned here so they cannot regress:
+Defects pinned here so they cannot regress:
 
 1. ``ServingStore.ingest`` silently accepted out-of-order and duplicate
    per-stream timestamps, corrupting the sorted-ring invariant that
@@ -14,6 +14,9 @@ Three defects pinned here so they cannot regress:
    entry per distinct signature, forever.  It is now a capacity-bounded
    LRU with an eviction counter, and the overload/degraded and keep-hot
    semantics are unchanged when capacity is ample.
+4. ``ServingStore.ingest`` let a NaN ``t`` past the monotonicity guard
+   (unsorted ring) and accepted non-finite values that only the
+   archive's eviction hook refused, after the ring had dropped them.
 """
 
 import asyncio
@@ -99,6 +102,36 @@ class TestIngestMonotonicity:
             store.ingest("s0", 3.0, 99.0)
         ts = [tup.t for tup in store.tuples_between("s0", 0.0, 10.0)]
         assert ts == sorted(ts) == [1.0, 2.0, 5.0]
+
+
+class TestIngestFiniteness:
+    """A NaN ``t`` passes every ``<=`` test; a NaN value poisons evictions."""
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf")])
+    def test_nonfinite_t_rejected_and_ring_stays_sorted(self, t):
+        store = ServingStore({"a": 0.5}, history=8)
+        store.ingest("a", 0.0, 1.0)
+        version = store.version
+        with pytest.raises(ServingError, match="non-finite"):
+            store.ingest("a", t, 2.0)
+        assert store.version == version and store.history_len("a") == 1
+        store.ingest("a", 0.5, 3.0)
+        assert [tup.t for tup in store.tuples_between("a", -1.0, 1.0)] == [0.0, 0.5]
+        assert store.oldest_t("a") == 0.0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_value_rejected_before_the_ring_evicts(self, value):
+        # Pre-fix the ring took the tuple and only the eviction hook
+        # refused it later — after the ring had dropped it (a hole in
+        # ring U archive).
+        evicted = []
+        store = ServingStore({"a": 0.5}, history=1, on_evict=evicted.append)
+        store.ingest("a", 0.0, 1.0)
+        version = store.version
+        with pytest.raises(ServingError, match="non-finite"):
+            store.ingest("a", 1.0, value)
+        assert store.version == version and not evicted
+        assert store.point("a").value == 1.0
 
 
 class TestComponentValidation:
