@@ -4,6 +4,13 @@ Each aggregate supports ``add``/``remove``/``value`` so a sliding window can
 maintain it in O(1) (amortized) per tick instead of rescanning the window.
 ``remove`` is always called with the exact value that was added earliest —
 windows are FIFO — which the monotonic-deque extrema exploit.
+
+Each aggregate also answers a whole member list at once through ``of``:
+the same float operations in the same order as ``add``-ing the values to a
+fresh instance and reading ``value()``, so the result is bitwise the
+incremental one (pinned by ``tests/properties/test_aggregate_kernel.py``
+for every value but NaN, which no read tier can hold).  That is the
+kernel :func:`repro.dsms.operators.replay_aggregate` answers from.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ import bisect
 import math
 from abc import ABC, abstractmethod
 from collections import deque
+from typing import Sequence
 
 from repro.errors import ConfigurationError, QueryError
 
@@ -55,6 +63,18 @@ class Aggregate(ABC):
     def fresh(self) -> "Aggregate":
         """A new empty instance with the same configuration."""
 
+    def of(self, values: Sequence[float]) -> float:
+        """The aggregate of exactly ``values``, leaving this instance as it is.
+
+        Bitwise what adding ``values`` in order to a :meth:`fresh` instance
+        and reading :meth:`value` gives — which is what this default does;
+        the built-in aggregates override it with one pass over the list.
+        """
+        agg = self.fresh()
+        for x in values:
+            agg.add(x)
+        return agg.value()
+
 
 class CountAggregate(Aggregate):
     """Number of values in the window."""
@@ -77,6 +97,9 @@ class CountAggregate(Aggregate):
 
     def fresh(self) -> "CountAggregate":
         return CountAggregate()
+
+    def of(self, values: Sequence[float]) -> float:
+        return float(len(values))
 
 
 class SumAggregate(Aggregate):
@@ -118,6 +141,20 @@ class SumAggregate(Aggregate):
     def fresh(self) -> "SumAggregate":
         return SumAggregate()
 
+    def of(self, values: Sequence[float]) -> float:
+        # ``_accumulate`` inlined over the list: the same recurrence, so not
+        # ``math.fsum`` and not numpy's pairwise ``sum`` (different bits).
+        total = compensation = 0.0
+        for x in values:
+            x = float(x)
+            t = total + x
+            if abs(total) >= abs(x):
+                compensation += (total - t) + x
+            else:
+                compensation += (x - t) + total
+            total = t
+        return total + compensation if len(values) else 0.0
+
 
 class MeanAggregate(Aggregate):
     """Windowed arithmetic mean."""
@@ -146,6 +183,11 @@ class MeanAggregate(Aggregate):
     def fresh(self) -> "MeanAggregate":
         return MeanAggregate()
 
+    def of(self, values: Sequence[float]) -> float:
+        if len(values) == 0:
+            raise QueryError("mean of an empty window")
+        return self._sum.of(values) / len(values)
+
 
 class VarianceAggregate(Aggregate):
     """Windowed population variance via maintained first/second moments."""
@@ -169,15 +211,24 @@ class VarianceAggregate(Aggregate):
         self._sumsq.remove(x * x)
         self._n -= 1
 
-    def value(self) -> float:
-        if self._n == 0:
+    @staticmethod
+    def _from_moments(total: float, total_sq: float, n: int) -> float:
+        if n == 0:
             raise QueryError("variance of an empty window")
-        mean = self._sum.value() / self._n
-        var = self._sumsq.value() / self._n - mean * mean
+        mean = total / n
+        var = total_sq / n - mean * mean
         return max(0.0, var)  # clamp the catastrophic-cancellation tail
+
+    def value(self) -> float:
+        return self._from_moments(self._sum.value(), self._sumsq.value(), self._n)
 
     def fresh(self) -> "VarianceAggregate":
         return VarianceAggregate()
+
+    def of(self, values: Sequence[float]) -> float:
+        return self._from_moments(
+            self._sum.of(values), self._sumsq.of([x * x for x in values]), len(values)
+        )
 
 
 class _MonotonicExtreme(Aggregate):
@@ -212,6 +263,14 @@ class _MonotonicExtreme(Aggregate):
         if not self._deque:
             raise QueryError("extreme of an empty window")
         return self._deque[0][0]
+
+    def of(self, values: Sequence[float]) -> float:
+        if len(values) == 0:
+            raise QueryError("extreme of an empty window")
+        # ``add`` pops on ``<=``, so of equal values (0.0 and -0.0) the later
+        # one survives at the front; the builtins keep the first they meet.
+        pick = max if self._sign > 0 else min
+        return pick(map(float, reversed(values)))
 
 
 class MinAggregate(_MonotonicExtreme):
@@ -262,20 +321,28 @@ class QuantileAggregate(Aggregate):
             raise QueryError(f"remove() of value {x!r} not present in quantile window")
         self._sorted.pop(idx)
 
-    def value(self) -> float:
-        if not self._sorted:
+    def _interpolate(self, ordered: list[float]) -> float:
+        if not ordered:
             raise QueryError("quantile of an empty window")
         # Nearest-rank with linear interpolation (numpy 'linear' method).
-        pos = self.q * (len(self._sorted) - 1)
+        pos = self.q * (len(ordered) - 1)
         lo = math.floor(pos)
         hi = math.ceil(pos)
         if lo == hi:
-            return self._sorted[lo]
+            return ordered[lo]
         frac = pos - lo
-        return self._sorted[lo] * (1.0 - frac) + self._sorted[hi] * frac
+        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+
+    def value(self) -> float:
+        return self._interpolate(self._sorted)
 
     def fresh(self) -> "QuantileAggregate":
         return QuantileAggregate(self.q)
+
+    def of(self, values: Sequence[float]) -> float:
+        # ``sorted`` is stable exactly as ``insort`` (right) is: equal values
+        # keep arrival order, so the list is element for element the same.
+        return self._interpolate(sorted(map(float, values)))
 
 
 _FACTORIES = {
@@ -301,4 +368,7 @@ def make_aggregate(name: str) -> Aggregate:
             return QuantileAggregate(float(name[1:]))
         except ValueError:
             pass
-    raise ConfigurationError(f"unknown aggregate {name!r}")
+    raise ConfigurationError(
+        f"unknown aggregate {name!r}; accepted: {', '.join(_FACTORIES)}, "
+        f"or qX for a quantile X in [0, 1] (e.g. q0.95)"
+    )

@@ -193,20 +193,36 @@ class WindowAggregate(Operator):
 
 
 def replay_aggregate(members, aggregate: str | Aggregate) -> StreamTuple:
-    """Aggregate exactly ``members`` by replaying them through the operator.
+    """Aggregate exactly ``members``: the answer a window replay would emit.
 
-    The one construction every read tier shares (live rings, the SQLite
-    archive, hybrid answers): a fresh :class:`WindowAggregate` sized to the
-    member count with ``slide=1, emit_partial=True`` emits on every push,
-    so the last push's emission covers exactly ``members``.  Callers add
-    no arithmetic of their own — an answer's value and bound are bitwise
-    identical whichever tier resolved the member tuples.
+    The one aggregate-evaluation routine every read tier shares (live
+    rings, the SQLite archive, hybrid answers), in one pass: the value is
+    :meth:`Aggregate.of <repro.dsms.aggregates.Aggregate.of>` over the
+    members' values and the bound is one :func:`aggregate_bound` call over
+    their bounds.  The result — ``t``, ``stream_id``, value and bound — is
+    bitwise what the last emission of a fresh :class:`WindowAggregate`
+    sized to ``members`` (``slide=1, emit_partial=True``) carries, pinned
+    against exactly that replay by
+    ``tests/properties/test_aggregate_kernel.py``.  Callers add no
+    arithmetic of their own, so an answer is identical whichever tier
+    resolved the member tuples.  An aggregate instance is only asked, never
+    mutated.
+
+    Raises:
+        QueryError: When ``members`` is empty.
     """
-    op = WindowAggregate(aggregate, size=len(members), slide=1, emit_partial=True)
-    out: list[StreamTuple] = []
-    for member in members:
-        out = op.process(member)
-    return out[0]
+    if len(members) == 0:
+        raise QueryError("aggregate of an empty member list")
+    agg = make_aggregate(aggregate) if isinstance(aggregate, str) else aggregate
+    values = [member.value for member in members]
+    bounds = [member.bound for member in members]
+    last = members[-1]
+    return StreamTuple(
+        t=last.t,
+        stream_id=f"{last.stream_id}/{agg.name}",
+        value=agg.of(values),
+        bound=aggregate_bound(agg.name, bounds, values),
+    )
 
 
 class MergeJoin(Operator):

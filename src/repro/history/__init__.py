@@ -8,9 +8,9 @@ indexed SQLite database (batched transactional inserts, the durability
 codec as the canonical row format), and a :class:`HistoryStore` answers
 point / range / windowed-aggregate queries over arbitrary past tick
 ranges with the same bitwise value-and-bound guarantee the live tier
-pins: members replay through real dsms operators, so archival answers
-are exactly what direct dsms evaluation of the same served tuples
-produces.
+pins: members go through the one dsms aggregate kernel, so archival
+answers are exactly what direct dsms evaluation of the same served
+tuples produces.
 
 The serving tier stitches both halves: a
 :class:`~repro.serving.server.QueryServer` given a ``history=`` store

@@ -7,8 +7,9 @@ range query is one ordered index scan, no table lookups — and tuples
 are rebuilt bitwise from the indexed columns (SQLite ``REAL`` is an
 IEEE-754 double stored verbatim).
 
-Aggregation keeps the serving tier's central guarantee: members are
-replayed through a real dsms
+Aggregation keeps the serving tier's central guarantee: members go
+through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
+kernel the property suite pins bit for bit to a real dsms
 :class:`~repro.dsms.operators.WindowAggregate`, so an archival answer's
 value *and* bound are bitwise what direct dsms evaluation of the same
 served tuples produces.  The store adds no arithmetic of its own on the
@@ -252,7 +253,7 @@ class HistoryStore:
         """Aggregate every archived tuple in ``[t_start, t_end]``.
 
         Value and bound are bitwise what direct dsms evaluation of the
-        same tuples produces (dsms replay; pinned by tests).
+        same tuples produces (the shared one-pass kernel; pinned by tests).
         """
         t0 = perf_counter()
         with self._tel.span("history.aggregate"):
@@ -308,7 +309,7 @@ class HistoryStore:
         at its timestamp (shorter prefixes at the start of history).
         Exact for ``min``/``max``/``count`` (comparisons and counts
         reassociate freely); ``mean``/``sum`` values may differ from the
-        dsms replay path in the last ulps because SQL reassociates the
+        dsms kernel's in the last ulps because SQL reassociates the
         float summation.  Bounds follow the dsms propagation rules
         (mean of bounds / sum of bounds / max of bounds / zero).  For a
         per-answer exact result use :meth:`window_aggregate`.

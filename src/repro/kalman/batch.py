@@ -52,12 +52,22 @@ class _Lane:
         self.indices = indices
         self.dim_x = models[0].dim_x
         self.dim_z = models[0].dim_z
-        self.F = np.stack([m.F for m in models])
-        self.H = np.stack([m.H for m in models])
-        self.Q = np.stack([m.Q for m in models])
-        self.R = np.stack([m.R for m in models])
+        # One model object behind every row (a homogeneous fleet built as
+        # ``[model] * n``) is one repeat per matrix, not n reads and a stack;
+        # either way each block is a fresh C-contiguous array of its own.
+        shared = all(m is models[0] for m in models)
+
+        def stack(name: str) -> np.ndarray:
+            if shared:
+                return np.repeat(getattr(models[0], name)[None], len(models), axis=0)
+            return np.stack([getattr(m, name) for m in models])
+
+        self.F = stack("F")
+        self.H = stack("H")
+        self.Q = stack("Q")
+        self.R = stack("R")
         self.x = np.zeros((len(models), self.dim_x))
-        self.P = np.stack([m.P0.copy() for m in models])
+        self.P = stack("P0")
         # Sketched observation model (None when this lane stays exact).
         # H and R are static per filter, so the projection happens once
         # here and never on the per-tick path.

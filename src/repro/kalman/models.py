@@ -82,9 +82,15 @@ class ProcessModel:
         object.__setattr__(self, "R", _as_matrix("R", self.R, (m, m)))
         object.__setattr__(self, "P0", _as_matrix("P0", self.P0, (n, n)))
         for label, mat in (("Q", self.Q), ("R", self.R), ("P0", self.P0)):
-            if not np.allclose(mat, mat.T):
+            # Exactly symmetric (every factory-built matrix) answers without
+            # allclose's temporaries; NaN fails both, as it always has.
+            if not (np.array_equal(mat, mat.T) or np.allclose(mat, mat.T)):
                 raise ConfigurationError(f"{label} must be symmetric")
-            if np.any(np.linalg.eigvalsh(mat) < -1e-9):
+            if mat.shape == (1, 1):  # its own eigenvalue: no LAPACK call
+                negative = mat[0, 0] < -1e-9
+            else:
+                negative = np.any(np.linalg.eigvalsh(mat) < -1e-9)
+            if negative:
                 raise ConfigurationError(f"{label} must be positive semi-definite")
 
     @property

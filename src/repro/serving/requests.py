@@ -22,8 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from repro.dsms.aggregates import make_aggregate
 from repro.dsms.tuples import StreamTuple
-from repro.errors import ServingError
+from repro.errors import ConfigurationError, ServingError
 
 __all__ = [
     "PointQuery",
@@ -59,15 +60,24 @@ class RangeQuery:
             raise ServingError(f"range size must be >= 1, got {self.size!r}")
 
 
+def _check_aggregate(name: str) -> None:
+    try:
+        make_aggregate(name)
+    except ConfigurationError as exc:  # its message names the accepted forms
+        raise ServingError(str(exc)) from exc
+
+
 @dataclass(frozen=True)
 class AggregateQuery:
     """A windowed aggregate over the last ``size`` served values.
 
     ``aggregate`` is any name :func:`repro.dsms.aggregates.make_aggregate`
     accepts (``mean``, ``sum``, ``min``, ``max``, ``median``, ``q0.95``,
-    ...); evaluation replays the window through the dsms
-    :class:`~repro.dsms.operators.WindowAggregate` operator so the answer
-    and its bound are exactly what direct dsms evaluation produces.
+    ...) — any other is refused here, as a :class:`ServingError`;
+    evaluation goes through :func:`~repro.dsms.operators.replay_aggregate`,
+    so the answer and its bound are exactly what the dsms
+    :class:`~repro.dsms.operators.WindowAggregate` operator emits over the
+    same window.
     """
 
     stream_id: str
@@ -79,6 +89,7 @@ class AggregateQuery:
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ServingError(f"window size must be >= 1, got {self.size!r}")
+        _check_aggregate(self.aggregate)
 
 
 def _check_interval(t_start: float, t_end: float) -> None:
@@ -113,11 +124,13 @@ class HistoryAggregateQuery:
     """An aggregate over every served tuple in ``[t_start, t_end]``.
 
     ``aggregate`` is any name :func:`repro.dsms.aggregates.make_aggregate`
-    accepts.  Wherever the members come from — ring, archive, or a
-    stitched combination — they are replayed through the dsms
-    :class:`~repro.dsms.operators.WindowAggregate` operator, so the
-    answer and its bound are exactly what direct dsms evaluation of the
-    same served tuples produces.
+    accepts (any other is refused here, as a :class:`ServingError`).
+    Wherever the members come from — ring, archive, or a stitched
+    combination — they go through the one
+    :func:`~repro.dsms.operators.replay_aggregate`, so the answer and its
+    bound are exactly what the dsms
+    :class:`~repro.dsms.operators.WindowAggregate` operator emits over the
+    same served tuples.
     """
 
     stream_id: str
@@ -129,6 +142,7 @@ class HistoryAggregateQuery:
 
     def __post_init__(self) -> None:
         _check_interval(self.t_start, self.t_end)
+        _check_aggregate(self.aggregate)
 
 
 Query = Union[

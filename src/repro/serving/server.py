@@ -16,9 +16,10 @@ whose interval is entirely resident answers from the ring
 (``provenance="live"``); entirely below the residency boundary, from
 the archive (``"historical"``); a straddling interval stitches the
 archival prefix to the resident suffix, deduplicated at the boundary
-(``"hybrid"``).  Every path replays members through the same dsms
-operators, so values and bounds are bitwise identical whichever store
-answered.
+(``"hybrid"``).  Every path aggregates its members through the one
+:func:`~repro.dsms.operators.replay_aggregate` kernel (pinned bit for
+bit to the dsms window operator), so values and bounds are bitwise
+identical whichever store answered.
 
 Admission never sheds load.  When the in-flight count crosses
 ``max_inflight``, range and aggregate requests whose signature has a

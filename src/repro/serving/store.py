@@ -16,8 +16,11 @@ evaluation of the same served values produces (pinned by
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
+from itertools import islice
 from math import isfinite
+from operator import attrgetter
 
 import numpy as np
 
@@ -28,6 +31,8 @@ from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import ServingError
 
 __all__ = ["ServingStore"]
+
+_tuple_t = attrgetter("t")
 
 
 class ServingStore:
@@ -231,7 +236,10 @@ class ServingStore:
         ring = self._rings.get(stream_id)
         if ring is None:
             raise ServingError(f"unknown stream {stream_id!r}")
-        return tuple(tup for tup in ring if t_start <= tup.t <= t_end)
+        # The ring is sorted by ``t`` (``ingest`` refuses anything else).
+        lo = bisect_left(ring, t_start, key=_tuple_t)
+        hi = bisect_right(ring, t_end, lo=lo, key=_tuple_t)
+        return tuple(islice(ring, lo, hi))
 
     def point(self, stream_id: str) -> StreamTuple:
         """The newest served tuple — value ± δ at the last ingest."""

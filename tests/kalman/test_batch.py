@@ -57,6 +57,64 @@ class TestConstruction:
             np.testing.assert_array_equal(batch.P_of(i), m.P0)
 
 
+class TestSharedModelLanes:
+    """``[model] * n`` takes the one-repeat path; the blocks are the stack's."""
+
+    FIELDS = (("F", "F"), ("H", "H"), ("Q", "Q"), ("R", "R"), ("P", "P0"))
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            kinematic(1, process_noise=0.2, measurement_sigma=0.3),
+            planar(kinematic(2, process_noise=0.05, measurement_sigma=0.5)),
+        ],
+        ids=["scalar", "planar"],
+    )
+    def test_blocks_are_bitwise_the_stacked_arrays(self, model):
+        n = 7
+        (lane,) = BatchKalmanFilter([model] * n)._lanes
+        for block_name, field in self.FIELDS:
+            block = getattr(lane, block_name)
+            want = np.stack([getattr(model, field) for _ in range(n)])
+            assert block.dtype == want.dtype and block.shape == want.shape
+            assert block.tobytes() == want.tobytes()
+            assert block.flags.c_contiguous and block.flags.writeable
+            assert block.flags.owndata
+
+    def test_rows_alias_neither_the_model_nor_each_other(self):
+        model = kinematic(2, process_noise=0.05, measurement_sigma=0.5)
+        p0 = model.P0.copy()
+        batch = BatchKalmanFilter([model] * 3)
+        (lane,) = batch._lanes
+        for block_name, field in self.FIELDS:
+            assert not np.shares_memory(getattr(lane, block_name), getattr(model, field))
+        lane.P[0] += 1.0
+        np.testing.assert_array_equal(model.P0, p0)
+        np.testing.assert_array_equal(lane.P[1], p0)
+        np.testing.assert_array_equal(lane.P[2], p0)
+
+    def test_shared_and_equal_but_distinct_models_run_identically(self):
+        def build():
+            return kinematic(2, process_noise=0.05, measurement_sigma=0.5)
+
+        shared = BatchKalmanFilter([build()] * 5)
+        distinct = BatchKalmanFilter([build() for _ in range(5)])
+        zs = np.random.default_rng(3).normal(size=(6, 5, 1))
+        for z in zs:
+            for batch in (shared, distinct):
+                batch.predict()
+                batch.update(z)
+        for i in range(5):
+            np.testing.assert_array_equal(shared.x_of(i), distinct.x_of(i))
+            np.testing.assert_array_equal(shared.P_of(i), distinct.P_of(i))
+
+    def test_one_odd_model_out_takes_the_stacking_path(self):
+        model = kinematic(1, process_noise=0.2, measurement_sigma=0.3)
+        other = kinematic(1, process_noise=0.7, measurement_sigma=0.3)
+        (lane,) = BatchKalmanFilter([model, model, other])._lanes
+        np.testing.assert_array_equal(lane.Q, np.stack([model.Q, model.Q, other.Q]))
+
+
 class TestValidation:
     def test_update_shape_rejected(self):
         batch = BatchKalmanFilter(_mixed_models())

@@ -138,6 +138,77 @@ class TestProcessModelValidation:
             )
 
 
+def _reference_verdict(mat: np.ndarray) -> str | None:
+    """The validation as it was before the 1x1 / exact-symmetry fast paths."""
+    if not np.allclose(mat, mat.T):
+        return "must be symmetric"
+    if np.any(np.linalg.eigvalsh(mat) < -1e-9):
+        return "must be positive semi-definite"
+    return None
+
+
+def _corner(n: int, entry: float) -> np.ndarray:
+    mat = np.eye(n)
+    mat[0, 0] = entry
+    return mat
+
+
+_ODD_MATRICES = [
+    _corner(n, entry)
+    for n in (1, 2)
+    for entry in (
+        float("nan"), float("-inf"), -1e-6, -1e-12, float("inf"),
+        0.0, 2.0, -1e-9, -1.0000001e-9,
+    )
+] + [
+    np.array([[1.0, 1e-9], [0.0, 1.0]]),  # asymmetric within allclose's tolerance
+    np.array([[1.0, 1e-3], [0.0, 1.0]]),
+    np.array([[1.0, np.nan], [np.nan, 1.0]]),
+    np.array([[1.0, np.inf], [np.inf, 1.0]]),
+    np.array([[1.0, 2.0], [2.0, 1.0]]),  # symmetric, indefinite
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestValidationVerdictTable:
+    """The cheaper validation answers every input as the old one did."""
+
+    @staticmethod
+    def _verdict(label: str, mat: np.ndarray) -> str | None:
+        n = mat.shape[0]
+        matrices = {"Q": np.eye(n), "R": np.eye(n), "P0": np.eye(n)}
+        matrices[label] = mat
+        try:
+            ProcessModel(name="odd", F=np.eye(n), H=np.eye(n), **matrices)
+        except ConfigurationError as exc:
+            return str(exc)
+        return None
+
+    @pytest.mark.parametrize("label", ["Q", "R", "P0"])
+    @pytest.mark.parametrize("mat", _ODD_MATRICES, ids=lambda m: repr(m.tolist()))
+    def test_same_verdict_and_message_as_the_reference(self, label, mat):
+        want = _reference_verdict(mat)
+        got = self._verdict(label, mat)
+        assert got == (None if want is None else f"{label} {want}")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize(
+        "entry,want",
+        [
+            (float("nan"), "R must be symmetric"),
+            (-1e-6, "R must be positive semi-definite"),
+            (-1e-12, None),
+            (float("inf"), None),
+        ],
+    )
+    def test_pinned_verdicts(self, n, entry, want):
+        assert self._verdict("R", _corner(n, entry)) == want
+
+    def test_minus_infinity_scalar_is_not_psd(self):
+        want = "R must be positive semi-definite"
+        assert self._verdict("R", _corner(1, float("-inf"))) == want
+
+
 class TestSpecRoundTrip:
     @pytest.mark.parametrize(
         "factory",

@@ -17,6 +17,11 @@ Defects pinned here so they cannot regress:
 4. ``ServingStore.ingest`` let a NaN ``t`` past the monotonicity guard
    (unsorted ring) and accepted non-finite values that only the
    archive's eviction hook refused, after the ring had dropped them.
+5. An unknown aggregate name escaped ``QueryServer.handle`` as a
+   ``ConfigurationError`` from inside ``make_aggregate``; both aggregate
+   request types now refuse it at construction with a ``ServingError``.
+6. ``ServingStore.tuples_between`` compared every resident tuple; it now
+   bisects the sorted ring — same tuples, same closed ends.
 """
 
 import asyncio
@@ -29,6 +34,7 @@ from repro.obs import Telemetry
 from repro.serving import (
     AdmissionConfig,
     AggregateQuery,
+    HistoryAggregateQuery,
     QueryServer,
     RangeQuery,
     ServingStore,
@@ -271,3 +277,74 @@ class TestBoundedLruCache:
             assert [t.bound for t in answer.tuples] == [
                 t.bound + 1.5 for t in fresh.tuples
             ]
+
+
+class TestUnknownAggregateName:
+    ACCEPTED = "accepted: count, sum, mean, avg, var, min, max, median, or qX"
+    OUT_OF_RANGE = r"q must be in \[0,1\]"
+    REFUSED = [
+        ("nope", ACCEPTED), ("qx", ACCEPTED), ("q", ACCEPTED), ("", ACCEPTED),
+        ("q1.5", OUT_OF_RANGE), ("qnan", OUT_OF_RANGE),
+    ]
+    BAD = [name for name, _why in REFUSED]
+
+    @pytest.mark.parametrize("name,why", REFUSED)
+    def test_aggregate_query_refuses_it_as_a_serving_error(self, name, why):
+        with pytest.raises(ServingError, match=why):
+            AggregateQuery("s0", name, 4)
+
+    @pytest.mark.parametrize("name,why", REFUSED)
+    def test_history_aggregate_query_refuses_it_as_a_serving_error(self, name, why):
+        with pytest.raises(ServingError, match=why):
+            HistoryAggregateQuery("s0", name, 0.0, 3.0)
+
+    @pytest.mark.parametrize("name", BAD)
+    def test_nothing_but_a_serving_error_leaves_handle(self, name):
+        server = QueryServer(_store())
+        with pytest.raises(ServingError):
+            _handle(server, AggregateQuery("s0", name, 4))
+        with pytest.raises(ServingError):
+            _handle(server, HistoryAggregateQuery("s0", name, 30.0, 35.0))
+
+    @pytest.mark.parametrize(
+        "name", ["count", "sum", "mean", "avg", "var", "min", "max", "median",
+                 "q0", "q0.95", "q1"],
+    )
+    def test_every_accepted_form_still_answers(self, name):
+        server = QueryServer(_store())
+        live = _handle(server, AggregateQuery("s0", name, 4))
+        past = _handle(server, HistoryAggregateQuery("s0", name, 36.0, 39.0))
+        assert (live.value, live.bound) == (past.value, past.bound)
+
+
+class TestTuplesBetweenBisects:
+    @staticmethod
+    def _scan(store, sid, lo, hi):
+        return tuple(t for t in store._rings[sid] if lo <= t.t <= hi)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            (100.0, 163.0), (30.0, 39.0), (136.0, 199.0),  # middle, both ends
+            (0.0, 1e9), (136.0, 136.0), (199.0, 199.0),  # all, single ticks
+            (140.5, 140.75), (150.5, 160.5),  # between ticks
+            (0.0, 135.0), (200.0, 300.0), (135.5, 135.9),  # miss the ring
+            (float("-inf"), float("inf")), (160.0, 150.0),
+        ],
+    )
+    def test_same_tuples_as_the_full_scan(self, lo, hi):
+        store = _store(n=200, history=64)  # resident ticks 136..199
+        got = store.tuples_between("s0", lo, hi)
+        assert got == self._scan(store, "s0", lo, hi)
+        assert all(a is b for a, b in zip(got, self._scan(store, "s0", lo, hi)))
+
+    def test_closed_at_both_ends(self):
+        store = _store(n=200, history=64)
+        ts = [t.t for t in store.tuples_between("s1", 140.0, 143.0)]
+        assert ts == [140.0, 141.0, 142.0, 143.0]
+
+    def test_cold_ring_and_unknown_stream(self):
+        store = ServingStore({"s0": 0.5}, history=8)
+        assert store.tuples_between("s0", 0.0, 10.0) == ()
+        with pytest.raises(ServingError, match="unknown stream"):
+            store.tuples_between("nope", 0.0, 10.0)
