@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.errors import QueryError
 
-__all__ = ["StreamTuple", "served_ticks"]
+__all__ = ["StreamTuple", "served_ticks", "stream_tuples"]
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,32 @@ class StreamTuple:
             value=float(value),
             bound=self.bound if bound is None else float(bound),
         )
+
+
+def stream_tuples(stream_id: str, rows) -> tuple[StreamTuple, ...]:
+    """``StreamTuple(t, stream_id, value, bound)`` per ``(t, value, bound)`` row.
+
+    The bulk constructor of read paths that rebuild hundreds of tuples
+    per answer.  It fills each instance's ``__dict__`` directly (the
+    :func:`functools.cached_property` idiom), skipping the frozen
+    ``__init__``'s four ``object.__setattr__`` calls, which were half of
+    an archived range read.  A negative ``bound`` still goes through the
+    real constructor, so it raises the same
+    :class:`~repro.errors.QueryError`.
+    """
+    new = object.__new__
+    out = []
+    for t, value, bound in rows:
+        if bound < 0:
+            StreamTuple(t, stream_id, value, bound)
+        tup = new(StreamTuple)
+        fields = tup.__dict__
+        fields["t"] = t
+        fields["stream_id"] = stream_id
+        fields["value"] = value
+        fields["bound"] = bound
+        out.append(tup)
+    return tuple(out)
 
 
 def served_ticks(

@@ -4,8 +4,8 @@ The live half of the serving stack — replica fleet, `ServingStore` hot
 rings, asyncio `QueryServer` — evaporates history as the rings roll
 over.  This package is the archival half the paper's unified query
 surface needs: an :class:`ArchiveWriter` persists served tuples into an
-indexed SQLite database (batched transactional inserts, the durability
-codec as the canonical row format), and a :class:`HistoryStore` answers
+indexed SQLite database (batched transactional inserts, a SHA-256
+manifest per flush), and a :class:`HistoryStore` answers
 point / range / windowed-aggregate queries over arbitrary past tick
 ranges with the same bitwise value-and-bound guarantee the live tier
 pins: members go through the one dsms aggregate kernel, so archival
@@ -22,7 +22,7 @@ labeled ``live`` / ``historical`` / ``hybrid`` by provenance.
 """
 
 from repro.history.archive import ArchiveWriter
-from repro.history.db import SCHEMA_VERSION, connect, ensure_schema
+from repro.history.db import SCHEMA_VERSION, connect
 from repro.history.store import HistoryStore
 
 __all__ = [
@@ -30,5 +30,4 @@ __all__ = [
     "HistoryStore",
     "SCHEMA_VERSION",
     "connect",
-    "ensure_schema",
 ]

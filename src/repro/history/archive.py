@@ -19,34 +19,30 @@ from any of three feeds:
 
 Rows buffer in memory and commit in one transaction per batch
 (``INSERT OR IGNORE`` — re-offering a tuple the archive already holds
-is a no-op, which lets the live and eviction feeds overlap freely).
+is a no-op, which lets the live and eviction feeds overlap freely),
+closed by the batch's SHA-256 manifest of the rows it inserted.
 Each committed batch records an ``archive_flush`` trace event and
 advances ``repro_history_rows_total``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sqlite3
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from repro.durability.codec import dumps_payload
 from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import HistoryError
-from repro.history.db import connect, ensure_schema
+from repro.history.db import ROW, connect
 from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
 __all__ = ["ArchiveWriter"]
-
-
-def _row_payload(stream_id: str, t: float, value: float, bound: float) -> bytes:
-    """Canonical codec bytes of one archived tuple (the authoritative row)."""
-    return dumps_payload(
-        {"stream_id": stream_id, "t": t, "value": value, "bound": bound}
-    )
 
 
 class ArchiveWriter:
@@ -84,13 +80,17 @@ class ArchiveWriter:
         self.bounds = dict(bounds)
         self.batch_size = batch_size
         self._conn = connect(path)
-        ensure_schema(self._conn)
-        self._conn.executemany(
-            "INSERT OR REPLACE INTO streams (stream_id, delta) VALUES (?, ?)",
-            [(sid, float(delta)) for sid, delta in self.bounds.items()],
-        )
-        self._conn.commit()
-        self._buffer: list[tuple[str, float, float, float, bytes]] = []
+        with self._conn:
+            # An upsert, never REPLACE: a re-registered stream keeps its
+            # key, so the rows it already archived stay its own.
+            self._conn.executemany(
+                "INSERT INTO streams (stream_id, delta) VALUES (?, ?) "
+                "ON CONFLICT (stream_id) DO UPDATE SET delta = excluded.delta",
+                [(sid, float(delta)) for sid, delta in self.bounds.items()],
+            )
+        keys = dict(self._conn.execute("SELECT stream_id, stream_key FROM streams"))
+        self._keys = {sid: keys[sid] for sid in self.bounds}
+        self._buffer: list[tuple[int, float, float, float]] = []
         self._tel = resolve_telemetry(telemetry)
         #: Rows committed new to the archive by this writer (dedup'd).
         self.rows_written = 0
@@ -116,14 +116,16 @@ class ArchiveWriter:
         """Buffer one served scalar; flushes when the batch fills."""
         if self._closed:
             raise HistoryError("archive writer is closed")
-        delta = self.bounds.get(stream_id)
-        if delta is None:
+        key = self._keys.get(stream_id)
+        if key is None:
             raise HistoryError(
                 f"unknown stream {stream_id!r}; known: {sorted(self.bounds)}"
             )
-        t = float(t)
-        value = float(value)
-        b = delta if bound is None else float(bound)
+        # ``+ 0.0`` turns -0.0 into the 0.0 SQLite stores, so the
+        # manifest hashes exactly what the table holds.
+        t = float(t) + 0.0
+        value = float(value) + 0.0
+        b = float(self.bounds[stream_id] if bound is None else bound) + 0.0
         # SQLite REAL cannot represent non-finite values (NaN becomes
         # NULL); a non-finite served value is a feed bug, reject loudly.
         if not math.isfinite(value) or not math.isfinite(t) or not (b >= 0 and math.isfinite(b)):
@@ -131,9 +133,7 @@ class ArchiveWriter:
                 f"cannot archive non-finite row ({stream_id!r}, t={t!r}, "
                 f"value={value!r}, bound={b!r})"
             )
-        self._buffer.append(
-            (stream_id, t, value, b, _row_payload(stream_id, t, value, b))
-        )
+        self._buffer.append((key, t, value, b))
         if len(self._buffer) >= self.batch_size:
             self.flush()
 
@@ -193,27 +193,47 @@ class ArchiveWriter:
 
     # -- committing -----------------------------------------------------
     def flush(self) -> int:
-        """Commit the buffered rows in one transaction; returns new rows."""
+        """Commit the buffered rows and their manifest; returns new rows."""
         if self._closed:
             raise HistoryError("archive writer is closed")
         if not self._buffer:
             return 0
         rows = self._buffer
         self._buffer = []
+        # Stable, so the first offer of a duplicated key is the one kept.
+        rows.sort(key=itemgetter(0, 1))
         tel = self._tel
-        before = self._conn.total_changes
+        conn = self._conn
         try:
-            with tel.span("history.flush"):
-                with self._conn:  # one transaction per batch
-                    self._conn.executemany(
-                        "INSERT OR IGNORE INTO archive "
-                        "(stream_id, t, value, bound, payload) "
-                        "VALUES (?, ?, ?, ?, ?)",
-                        rows,
+            with tel.span("history.flush"), conn:
+                conn.execute("BEGIN IMMEDIATE")
+                (batch,) = conn.execute(
+                    "SELECT COALESCE(MAX(batch), 0) + 1 FROM batches"
+                ).fetchone()
+                before = conn.total_changes
+                conn.executemany(
+                    f"INSERT OR IGNORE INTO archive VALUES (?, ?, ?, ?, {batch})", rows
+                )
+                inserted = conn.total_changes - before
+                if inserted:
+                    mine = rows
+                    if inserted < len(rows):  # some offers were ignored:
+                        mine = []  # re-read this batch's own rows, per stream
+                        for key, group in groupby(rows, itemgetter(0)):
+                            group = list(group)
+                            mine += conn.execute(
+                                "SELECT stream_key, t, value, bound FROM archive "
+                                "WHERE stream_key = ? AND t BETWEEN ? AND ? "
+                                "AND batch = ? ORDER BY t",
+                                (key, group[0][1], group[-1][1], batch),
+                            ).fetchall()
+                    digest = hashlib.sha256(b"".join([ROW.pack(*r) for r in mine]))
+                    conn.execute(
+                        "INSERT INTO batches VALUES (?, ?, ?)",
+                        (batch, inserted, digest.hexdigest()),
                     )
         except sqlite3.Error as exc:
             raise HistoryError(f"archive flush failed: {exc}") from exc
-        inserted = self._conn.total_changes - before
         self.rows_written += inserted
         self.flushes += 1
         if tel.enabled:

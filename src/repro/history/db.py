@@ -1,70 +1,75 @@
 """SQLite schema and connection handling of the history archive.
 
 One archive database holds the served history of one fleet: a
-``streams`` catalogue (stream id → configured precision half-width δ)
-and an ``archive`` table of served tuples.  Each archived tuple is
-stored twice, deliberately:
+``streams`` catalogue (stream id → integer ``stream_key`` and δ), an
+``archive`` table storing each served tuple once, and a ``batches``
+table with one manifest per flush.  ``archive`` is ``WITHOUT ROWID``
+with ``PRIMARY KEY (stream_key, t)``, so the table *is* the covering
+index.  SQLite ``REAL`` is an IEEE-754 double stored verbatim, so values
+round-trip bitwise (except ``-0.0``, stored as ``0.0``).  A manifest is
+the SHA-256 of the rows its flush inserted, packed :data:`ROW` in
+primary-key order and written last in the flush's transaction: it is
+the commit point that :meth:`HistoryStore.audit` re-hashes against, the
+checkpoint store's verify-before-trust posture applied to rows.
 
-* **numeric columns** ``(stream_id, t, value, bound)`` — what queries
-  read.  SQLite ``REAL`` is an 8-byte IEEE-754 double stored verbatim,
-  so a float written through :mod:`sqlite3` comes back bit-identical;
-  rebuilding a :class:`~repro.dsms.tuples.StreamTuple` from the columns
-  is therefore bitwise-lossless.  The ``archive_stream_t_cover`` index
-  covers ``(stream_id, t, value, bound)``, so a range query is a pure
-  index scan — no table lookups at all.
-* **a codec payload** — the same tuple encoded through the durability
-  codec's canonical JSON-with-ndarrays row format
-  (:func:`repro.durability.codec.dumps_payload`).  This is the
-  archive's authoritative, self-describing row: :meth:`HistoryStore
-  .audit` decodes payloads and cross-checks them bitwise against the
-  numeric columns, the same verify-before-trust posture the checkpoint
-  store takes.
-
-Uniqueness is ``(stream_id, t)``: one served value per stream per
-timestamp.  Feeds overlap by design (a live ``on_tick`` feed and a ring
-``on_evict`` feed may both offer the same tuple) and dedup happens in
-the database with ``INSERT OR IGNORE`` — idempotent re-ingest is what
-makes the no-tuple-lost guarantee cheap to uphold.
+Feeds overlap by design (a live ``on_tick`` feed and a ring
+``on_evict`` feed may both offer the same tuple); ``INSERT OR IGNORE``
+on the primary key makes re-ingest idempotent, which is what makes the
+no-tuple-lost guarantee cheap to uphold.
 """
 
 from __future__ import annotations
 
 import sqlite3
+import struct
 from pathlib import Path
 
 from repro.errors import HistoryError
 
-__all__ = ["SCHEMA_VERSION", "connect", "ensure_schema"]
+__all__ = ["SCHEMA_VERSION", "connect"]
 
 #: Bump on any incompatible layout change; mismatched archives refuse to
 #: open rather than mis-parse.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
-_SCHEMA = """
+#: One archived row as a batch manifest hashes it.
+ROW = struct.Struct("<qddd")
+
+_SCHEMA = f"""
+BEGIN;
 CREATE TABLE IF NOT EXISTS meta (
     key   TEXT PRIMARY KEY,
     value TEXT NOT NULL
 );
 CREATE TABLE IF NOT EXISTS streams (
-    stream_id TEXT PRIMARY KEY,
-    delta     REAL NOT NULL
+    stream_key INTEGER PRIMARY KEY,
+    stream_id  TEXT NOT NULL UNIQUE,
+    delta      REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS archive (
-    stream_id TEXT NOT NULL,
-    t         REAL NOT NULL,
-    value     REAL NOT NULL,
-    bound     REAL NOT NULL,
-    payload   BLOB NOT NULL,
-    UNIQUE (stream_id, t)
+    stream_key INTEGER NOT NULL,
+    t          REAL NOT NULL,
+    value      REAL NOT NULL,
+    bound      REAL NOT NULL,
+    batch      INTEGER NOT NULL,
+    PRIMARY KEY (stream_key, t)
+) WITHOUT ROWID;
+CREATE TABLE IF NOT EXISTS batches (
+    batch  INTEGER PRIMARY KEY,
+    rows   INTEGER NOT NULL,
+    sha256 TEXT NOT NULL
 );
-CREATE INDEX IF NOT EXISTS archive_stream_t_cover
-    ON archive (stream_id, t, value, bound);
+INSERT OR IGNORE INTO meta VALUES ('schema_version', '{SCHEMA_VERSION}');
+COMMIT;
 """
 
 
 def connect(path: str | Path) -> sqlite3.Connection:
     """Open (creating if absent) an archive database at ``path``.
 
+    Reads before it writes: a database with tables but no ``meta`` table
+    (someone else's file), or stamped with another schema version, is
+    refused with a :class:`HistoryError` and left untouched.
     ``:memory:`` is accepted for tests and benchmarks.  WAL journaling
     keeps readers un-blocked while the writer commits batches;
     ``synchronous=NORMAL`` syncs at WAL checkpoints, the standard
@@ -73,30 +78,32 @@ def connect(path: str | Path) -> sqlite3.Connection:
     """
     try:
         conn = sqlite3.connect(str(path))
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
     except sqlite3.Error as exc:
         raise HistoryError(f"cannot open archive at {path!r}: {exc}") from exc
-    return conn
-
-
-def ensure_schema(conn: sqlite3.Connection) -> None:
-    """Create the archive schema, or verify an existing one is ours."""
     try:
-        conn.executescript(_SCHEMA)
-        row = conn.execute(
-            "SELECT value FROM meta WHERE key = 'schema_version'"
-        ).fetchone()
-        if row is None:
-            conn.execute(
-                "INSERT INTO meta (key, value) VALUES ('schema_version', ?)",
-                (str(SCHEMA_VERSION),),
-            )
-            conn.commit()
-        elif row[0] != str(SCHEMA_VERSION):
+        sql = "SELECT name FROM sqlite_master WHERE type = 'table'"
+        tables = {name for (name,) in conn.execute(sql)}
+        if not tables:
+            conn.executescript(_SCHEMA)
+        elif "meta" not in tables:
             raise HistoryError(
-                f"archive schema version {row[0]!r} is not the supported "
+                f"not a history archive: it holds tables {sorted(tables)} but "
+                "no meta table; refusing to adopt it"
+            )
+        sql = "SELECT value FROM meta WHERE key = 'schema_version'"
+        row = conn.execute(sql).fetchone()
+        found = None if row is None else row[0]
+        if found != str(SCHEMA_VERSION):
+            raise HistoryError(
+                f"archive schema version {found!r} is not the supported "
                 f"{SCHEMA_VERSION!r}; refusing to read it"
             )
+        conn.execute("PRAGMA journal_mode=WAL")
+        conn.execute("PRAGMA synchronous=NORMAL")
+    except HistoryError:
+        conn.close()
+        raise
     except sqlite3.Error as exc:
-        raise HistoryError(f"cannot initialize archive schema: {exc}") from exc
+        conn.close()
+        raise HistoryError(f"cannot open archive at {path!r}: {exc}") from exc
+    return conn

@@ -2,10 +2,10 @@
 
 A :class:`HistoryStore` answers point / range / windowed-aggregate
 queries over *arbitrary past tick ranges* of the SQLite archive.  Range
-selection rides the ``(stream_id, t, value, bound)`` covering index — a
-range query is one ordered index scan, no table lookups — and tuples
-are rebuilt bitwise from the indexed columns (SQLite ``REAL`` is an
-IEEE-754 double stored verbatim).
+selection rides the archive's ``(stream_key, t)`` primary key — the
+``WITHOUT ROWID`` table is its own covering index, so a range query is
+one ordered seek-and-scan — and tuples are rebuilt bitwise from the
+columns (SQLite ``REAL`` is an IEEE-754 double stored verbatim).
 
 Aggregation keeps the serving tier's central guarantee: members go
 through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
@@ -19,24 +19,23 @@ into SQLite window functions for dashboard-scale scans — exact for the
 selection aggregates (min/max, and their max-of-bounds rule), floating-
 point-reassociated for mean/sum, and documented as such.
 
-:meth:`audit` closes the durability loop: every row also carries its
-canonical codec payload (see :mod:`repro.history.db`), and the audit
-decodes payloads and cross-checks them bitwise against the indexed
-columns — verify-before-trust, the checkpoint store's posture.
+:meth:`audit` closes the durability loop: it re-hashes every batch
+against the manifest its flush wrote (see :mod:`repro.history.db`) —
+verify-before-trust, the checkpoint store's posture.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import sqlite3
 from pathlib import Path
 from time import perf_counter
 
-from repro.durability.codec import loads_payload
 from repro.dsms.operators import replay_aggregate
-from repro.dsms.tuples import StreamTuple
+from repro.dsms.tuples import StreamTuple, stream_tuples
 from repro.errors import HistoryError
-from repro.history.db import connect, ensure_schema
+from repro.history.db import ROW, connect
 from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
@@ -70,7 +69,6 @@ class HistoryStore:
 
     def __init__(self, path: str | Path, telemetry=None):
         self._conn = connect(path)
-        ensure_schema(self._conn)
         self._tel = resolve_telemetry(telemetry)
         #: Queries answered, the ``history_query`` event clock.
         self.queries = 0
@@ -79,9 +77,10 @@ class HistoryStore:
     def refresh_bounds(self) -> dict[str, float]:
         """(Re)load the stream catalogue; returns stream id → δ."""
         rows = self._conn.execute(
-            "SELECT stream_id, delta FROM streams ORDER BY stream_id"
+            "SELECT stream_id, delta, stream_key FROM streams ORDER BY stream_id"
         ).fetchall()
-        self.bounds = {sid: float(delta) for sid, delta in rows}
+        self.bounds = {sid: float(delta) for sid, delta, _ in rows}
+        self._keys = {sid: key for sid, _, key in rows}
         return self.bounds
 
     def stream_ids(self) -> list[str]:
@@ -98,31 +97,32 @@ class HistoryStore:
         self.close()
 
     # -- bookkeeping ----------------------------------------------------
-    def _check_stream(self, stream_id: str) -> None:
-        if stream_id not in self.bounds:
+    def _key(self, stream_id: str) -> int:
+        """The stream's integer archive key (refreshing the catalogue once)."""
+        if stream_id not in self._keys:
             self.refresh_bounds()
-            if stream_id not in self.bounds:
+            if stream_id not in self._keys:
                 raise HistoryError(
                     f"unknown stream {stream_id!r}; archived: {sorted(self.bounds)}"
                 )
+        return self._keys[stream_id]
 
     def row_count(self, stream_id: str | None = None) -> int:
         """Archived tuples, for one stream or overall."""
         if stream_id is None:
             (n,) = self._conn.execute("SELECT COUNT(*) FROM archive").fetchone()
         else:
-            self._check_stream(stream_id)
             (n,) = self._conn.execute(
-                "SELECT COUNT(*) FROM archive WHERE stream_id = ?", (stream_id,)
+                "SELECT COUNT(*) FROM archive WHERE stream_key = ?",
+                (self._key(stream_id),),
             ).fetchone()
         return int(n)
 
     def span(self, stream_id: str) -> tuple[float, float, int]:
         """``(t_min, t_max, rows)`` of one stream's archived history."""
-        self._check_stream(stream_id)
         t_min, t_max, n = self._conn.execute(
-            "SELECT MIN(t), MAX(t), COUNT(*) FROM archive WHERE stream_id = ?",
-            (stream_id,),
+            "SELECT MIN(t), MAX(t), COUNT(*) FROM archive WHERE stream_key = ?",
+            (self._key(stream_id),),
         ).fetchone()
         if not n:
             raise HistoryError(f"stream {stream_id!r} has no archived history yet")
@@ -148,11 +148,13 @@ class HistoryStore:
     ) -> list[tuple[float, float, float]]:
         """``(t, value, bound)`` rows in ``[t_start, t_end]``, time order.
 
-        ``use_index=False`` forces a full-table linear scan (SQLite's
-        ``NOT INDEXED``) — the baseline the T9 benchmark measures the
-        covering index against; answers are identical either way.
+        ``use_index=False`` forces a full-table linear scan — the
+        baseline the T9 benchmark measures the primary key against;
+        answers are identical either way.  Unary ``+`` hides the columns
+        from the planner (``NOT INDEXED`` would not: on a ``WITHOUT
+        ROWID`` table it still searches the primary key).
         """
-        self._check_stream(stream_id)
+        key = self._key(stream_id)
         if not (math.isfinite(t_start) and math.isfinite(t_end)):
             raise HistoryError(
                 f"range endpoints must be finite, got [{t_start!r}, {t_end!r}]"
@@ -161,21 +163,25 @@ class HistoryStore:
             raise HistoryError(
                 f"empty range: t_start {t_start!r} > t_end {t_end!r}"
             )
-        source = "archive" if use_index else "archive NOT INDEXED"
+        plus = "" if use_index else "+"
         try:
             return self._conn.execute(
-                f"SELECT t, value, bound FROM {source} "
-                "WHERE stream_id = ? AND t BETWEEN ? AND ? ORDER BY t",
-                (stream_id, float(t_start), float(t_end)),
+                f"SELECT t, value, bound FROM archive WHERE {plus}stream_key = ? "
+                f"AND {plus}t BETWEEN ? AND ? ORDER BY t",
+                (key, float(t_start), float(t_end)),
             ).fetchall()
         except sqlite3.Error as exc:
             raise HistoryError(f"archive query failed: {exc}") from exc
 
-    def _tuples(self, stream_id: str, rows) -> tuple[StreamTuple, ...]:
-        return tuple(
-            StreamTuple(t=t, stream_id=stream_id, value=value, bound=bound)
-            for t, value, bound in rows
-        )
+    def _newest(self, stream_id: str, size: int, t_end: float | None):
+        """The newest ``size`` rows at or before ``t_end``, newest first."""
+        t_end = math.inf if t_end is None else float(t_end)
+        return self._conn.execute(
+            "SELECT t, value, bound FROM archive "
+            "WHERE stream_key = ? AND t <= ? ORDER BY t DESC LIMIT ?",
+            (self._key(stream_id), t_end, int(size)),
+        ).fetchall()
+
 
     # -- queries --------------------------------------------------------
     def point(self, stream_id: str, at_t: float | None = None) -> StreamTuple:
@@ -184,26 +190,14 @@ class HistoryStore:
         With ``at_t=None``, the newest archived tuple overall.
         """
         t0 = perf_counter()
-        self._check_stream(stream_id)
-        if at_t is None:
-            row = self._conn.execute(
-                "SELECT t, value, bound FROM archive WHERE stream_id = ? "
-                "ORDER BY t DESC LIMIT 1",
-                (stream_id,),
-            ).fetchone()
-        else:
-            row = self._conn.execute(
-                "SELECT t, value, bound FROM archive "
-                "WHERE stream_id = ? AND t <= ? ORDER BY t DESC LIMIT 1",
-                (stream_id, float(at_t)),
-            ).fetchone()
-        if row is None:
+        rows = self._newest(stream_id, 1, at_t)
+        if not rows:
             raise HistoryError(
                 f"stream {stream_id!r} has no archived tuple at or before "
                 f"{'the end of history' if at_t is None else at_t}"
             )
         self._record("point", t0, 1)
-        return self._tuples(stream_id, [row])[0]
+        return stream_tuples(stream_id, rows)[0]
 
     def range_query(
         self,
@@ -217,7 +211,7 @@ class HistoryStore:
         with self._tel.span("history.range"):
             rows = self._select(stream_id, t_start, t_end, use_index=use_index)
         self._record("range", t0, len(rows))
-        return self._tuples(stream_id, rows)
+        return stream_tuples(stream_id, rows)
 
     def last_n(
         self, stream_id: str, size: int, t_end: float | None = None
@@ -226,21 +220,9 @@ class HistoryStore:
         if size < 1:
             raise HistoryError(f"size must be >= 1, got {size!r}")
         t0 = perf_counter()
-        self._check_stream(stream_id)
-        if t_end is None:
-            rows = self._conn.execute(
-                "SELECT t, value, bound FROM archive WHERE stream_id = ? "
-                "ORDER BY t DESC LIMIT ?",
-                (stream_id, int(size)),
-            ).fetchall()
-        else:
-            rows = self._conn.execute(
-                "SELECT t, value, bound FROM archive "
-                "WHERE stream_id = ? AND t <= ? ORDER BY t DESC LIMIT ?",
-                (stream_id, float(t_end), int(size)),
-            ).fetchall()
+        rows = self._newest(stream_id, size, t_end)
         self._record("range", t0, len(rows))
-        return self._tuples(stream_id, rows[::-1])
+        return stream_tuples(stream_id, rows[::-1])
 
     def range_aggregate(
         self,
@@ -263,7 +245,7 @@ class HistoryStore:
                     f"stream {stream_id!r} has no archived tuples in "
                     f"[{t_start!r}, {t_end!r}]"
                 )
-            answer = replay_aggregate(self._tuples(stream_id, rows), aggregate)
+            answer = replay_aggregate(stream_tuples(stream_id, rows), aggregate)
         self._record("aggregate", t0, len(rows))
         return answer
 
@@ -323,7 +305,7 @@ class HistoryStore:
         if size < 1:
             raise HistoryError(f"size must be >= 1, got {size!r}")
         t0 = perf_counter()
-        self._check_stream(stream_id)
+        key = self._key(stream_id)
         value_fn, bound_fn = spec
         frame = f"ROWS BETWEEN {int(size) - 1} PRECEDING AND CURRENT ROW"
         # The window frame must see the `size - 1` tuples *before*
@@ -333,10 +315,10 @@ class HistoryStore:
             rows = self._conn.execute(
                 "SELECT t, v, b FROM ("
                 f"  SELECT t, {value_fn} AS v, {bound_fn} AS b"
-                "   FROM archive WHERE stream_id = ?"
+                "   FROM archive WHERE stream_key = ?"
                 f"  WINDOW w AS (ORDER BY t {frame})"
                 ") WHERE t BETWEEN ? AND ? ORDER BY t",
-                (stream_id, float(t_start), float(t_end)),
+                (key, float(t_start), float(t_end)),
             ).fetchall()
         self._record("series", t0, len(rows))
         return [
@@ -348,32 +330,40 @@ class HistoryStore:
 
     # -- integrity ------------------------------------------------------
     def audit(self, stream_id: str | None = None) -> int:
-        """Cross-check codec payloads against the indexed columns.
+        """Re-hash every committed batch against its manifest.
 
-        Decodes every row's canonical codec payload and verifies it
-        matches the numeric columns bitwise; returns the number of rows
-        audited.  A mismatch means a torn or tampered row and raises.
+        A row without a manifest, or a batch whose row count or SHA-256
+        disagrees with its manifest, is a torn or tampered archive and
+        raises.  One read transaction covers manifests and rows, so a
+        concurrent flush cannot make a clean archive look damaged.
+        Returns the rows audited for ``stream_id`` (all when ``None``).
         """
-        where, params = ("", ())
-        if stream_id is not None:
-            self._check_stream(stream_id)
-            where, params = (" WHERE stream_id = ?", (stream_id,))
-        audited = 0
-        for sid, t, value, bound, payload in self._conn.execute(
-            f"SELECT stream_id, t, value, bound, payload FROM archive{where}",
-            params,
-        ):
-            row = loads_payload(payload)
-            ok = (
-                row.get("stream_id") == sid
-                and row.get("t") == t
-                and row.get("value") == value
-                and row.get("bound") == bound
-            )
-            if not ok:
+        key = None if stream_id is None else self._key(stream_id)
+        conn, audited = self._conn, 0
+        conn.execute("BEGIN")
+        try:
+            manifests = conn.execute("SELECT * FROM batches").fetchall()
+            seen = {batch: [0, hashlib.sha256()] for batch, _, _ in manifests}
+            for row in conn.execute(
+                "SELECT stream_key, t, value, bound, batch FROM archive "
+                "ORDER BY stream_key, t"
+            ):
+                if row[4] not in seen:
+                    raise HistoryError(
+                        f"archive row (stream_key={row[0]}, t={row[1]!r}) is in batch "
+                        f"{row[4]!r}, which has no manifest; the archive is damaged"
+                    )
+                entry = seen[row[4]]
+                entry[0] += 1
+                entry[1].update(ROW.pack(*row[:4]))
+                audited += key is None or row[0] == key
+        finally:
+            conn.rollback()
+        for batch, rows, sha256 in manifests:
+            count, digest = seen[batch]
+            if count != rows or digest.hexdigest() != sha256:
                 raise HistoryError(
-                    f"archive row ({sid!r}, t={t!r}) disagrees with its codec "
-                    f"payload {row!r}; the archive is damaged"
+                    f"archive batch {batch} ({count} rows) disagrees with its "
+                    f"manifest ({rows} rows, sha256 {sha256}); the archive is damaged"
                 )
-            audited += 1
         return audited

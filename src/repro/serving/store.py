@@ -7,9 +7,10 @@ architecture, where query load is decoupled from stream volume because
 answers come from cached procedures) tagged with the stream's precision
 bound δ, and keeps a bounded ring of recent
 :class:`~repro.dsms.tuples.StreamTuple` history per stream.  Queries are
-evaluated with the dsms machinery itself — windowed aggregates replay
-the window through :class:`~repro.dsms.operators.WindowAggregate` — so a
-serving answer's value and bound are *bitwise* what direct dsms
+evaluated with the dsms machinery itself — windowed aggregates go
+through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
+kernel pinned bit for bit to :class:`~repro.dsms.operators.WindowAggregate`
+— so a serving answer's value and bound are *bitwise* what direct dsms
 evaluation of the same served values produces (pinned by
 ``tests/serving/test_store.py``).
 """
@@ -143,9 +144,7 @@ class ServingStore:
                 "served history)"
             )
         evicted = ring[0] if len(ring) == ring.maxlen else None
-        ring.append(
-            StreamTuple(t=t, stream_id=stream_id, value=value, bound=delta)
-        )
+        ring.append(StreamTuple(t, stream_id, value, delta))
         self.version += 1
         if evicted is not None and self.on_evict is not None:
             self.on_evict(evicted)

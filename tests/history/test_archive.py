@@ -8,6 +8,9 @@ the residue, and ``INSERT OR IGNORE`` dedup makes overlapping feeds
 no-tuple-lost regression.
 """
 
+import hashlib
+import sqlite3
+
 import numpy as np
 import pytest
 
@@ -49,6 +52,97 @@ class TestConstruction:
             pass
         store = HistoryStore(db)
         assert store.bounds == {"a": 0.5, "b": 1.25}
+
+
+#: The schema-v1 layout, verbatim: one TEXT-keyed rowid table, a
+#: covering index and a codec payload per row.
+V1_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE streams (stream_id TEXT PRIMARY KEY, delta REAL NOT NULL);
+CREATE TABLE archive (
+    stream_id TEXT NOT NULL,
+    t         REAL NOT NULL,
+    value     REAL NOT NULL,
+    bound     REAL NOT NULL,
+    payload   BLOB NOT NULL,
+    UNIQUE (stream_id, t)
+);
+CREATE INDEX archive_stream_t_cover ON archive (stream_id, t, value, bound);
+INSERT INTO meta (key, value) VALUES ('schema_version', '1');
+INSERT INTO streams VALUES ('s', 0.5);
+INSERT INTO archive VALUES ('s', 0.0, 1.5, 0.5, X'7B7D');
+"""
+
+
+def _sqlite_file(path, script, wal):
+    conn = sqlite3.connect(path)
+    if wal:
+        conn.execute("PRAGMA journal_mode=WAL")
+    conn.executescript(script)
+    conn.close()
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestRefuseBeforeMutating:
+    """A file that is not a v2 archive is refused and left byte-identical."""
+
+    @pytest.mark.parametrize("opener", [
+        lambda p: ArchiveWriter(p, {"s": 0.5}),
+        HistoryStore,
+    ], ids=["writer", "store"])
+    def test_v1_archive_refused_untouched(self, db, opener):
+        _sqlite_file(db, V1_SCHEMA, wal=True)
+        before = _sha256(db)
+        with pytest.raises(HistoryError, match="schema version '1' is not the supported 2"):
+            opener(db)
+        assert _sha256(db) == before
+        conn = sqlite3.connect(db)
+        tables = {n for (n,) in conn.execute("SELECT name FROM sqlite_master")}
+        conn.close()
+        assert "batches" not in tables
+
+    @pytest.mark.parametrize("opener", [
+        lambda p: ArchiveWriter(p, {"s": 0.5}),
+        HistoryStore,
+    ], ids=["writer", "store"])
+    def test_foreign_file_refused_untouched(self, db, opener):
+        _sqlite_file(db, "CREATE TABLE readings (t REAL, value REAL);"
+                         "INSERT INTO readings VALUES (0.0, 1.0);", wal=False)
+        before = _sha256(db)
+        with pytest.raises(HistoryError, match="not a history archive"):
+            opener(db)
+        assert _sha256(db) == before
+
+    def test_non_sqlite_file_refused_untouched(self, db):
+        db.write_bytes(b"certainly not a database " * 64)
+        with pytest.raises(HistoryError):
+            HistoryStore(db)
+        assert db.read_bytes() == b"certainly not a database " * 64
+
+    def test_reregistered_stream_keeps_key_and_rows(self, db):
+        with ArchiveWriter(db, {"a": 0.5, "b": 1.0}) as w:
+            _fill(w, 4, sid="a")
+            _fill(w, 4, sid="b")
+
+        def keys():
+            conn = sqlite3.connect(db)
+            try:
+                return dict(conn.execute("SELECT stream_id, stream_key FROM streams"))
+            finally:
+                conn.close()
+
+        before = keys()
+        with ArchiveWriter(db, {"b": 2.5, "c": 0.1}) as w:  # new δ for b
+            _fill(w, 3, sid="b", t0=4.0)
+        assert {sid: keys()[sid] for sid in before} == before
+        store = HistoryStore(db)
+        assert store.bounds == {"a": 0.5, "b": 2.5, "c": 0.1}
+        assert store.row_count("a") == 4
+        assert [t.t for t in store.range_query("b", 0.0, 99.0)] == [float(k) for k in range(7)]
+        assert store.audit() == 11
 
 
 class TestIngestAndBatching:

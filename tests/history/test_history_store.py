@@ -33,6 +33,13 @@ def db(tmp_path):
     return path
 
 
+def _tamper(path, sql):
+    conn = sqlite3.connect(path)
+    conn.execute(sql)
+    conn.commit()
+    conn.close()
+
+
 def _replay(members, aggregate):
     op = WindowAggregate(aggregate, size=len(members), slide=1, emit_partial=True)
     out = []
@@ -140,14 +147,24 @@ class TestBitwiseParity:
         assert (fast.value, fast.bound) == (slow.value, slow.bound)
 
     def test_covering_index_is_actually_used(self, db):
+        # Pin the plans of the SQL the store really runs.  On a WITHOUT
+        # ROWID table ``NOT INDEXED`` still searches the primary key, so
+        # the linear baseline must plan as a SCAN or T9 measures nothing.
         store = HistoryStore(db)
-        (plan,) = store._conn.execute(
-            "EXPLAIN QUERY PLAN SELECT t, value, bound FROM archive "
-            "WHERE stream_id = ? AND t BETWEEN ? AND ?",
-            ("s0", 0.0, 10.0),
-        ).fetchall()
-        detail = plan[-1]
-        assert "USING COVERING INDEX archive_stream_t_cover" in detail
+        ran = []
+        store._conn.set_trace_callback(ran.append)
+        store.range_query("s0", 0.0, 10.0, use_index=True)
+        store.range_query("s0", 0.0, 10.0, use_index=False)
+        store._conn.set_trace_callback(None)
+        indexed, linear = (
+            [row[-1] for row in store._conn.execute("EXPLAIN QUERY PLAN " + sql)]
+            for sql in ran
+        )
+        assert indexed == [
+            "SEARCH archive USING PRIMARY KEY (stream_key=? AND t>? AND t<?)"
+        ]
+        assert linear[0] == "SCAN archive"
+        assert not any("SEARCH" in step for step in linear)
 
 
 class TestAggregateSeries:
@@ -191,15 +208,63 @@ class TestIntegrity:
         assert HistoryStore(db).audit("s0") == 80
 
     def test_audit_catches_tampered_column(self, db):
-        conn = sqlite3.connect(db)
-        conn.execute(
-            "UPDATE archive SET value = value + 1.0 "
-            "WHERE stream_id = 's0' AND t = 7.0"
-        )
-        conn.commit()
-        conn.close()
-        with pytest.raises(HistoryError, match="disagrees with its codec"):
+        _tamper(db, "UPDATE archive SET value = value + 1.0 WHERE t = 7.0 "
+                    "AND stream_key = (SELECT stream_key FROM streams "
+                    "WHERE stream_id = 's0')")
+        with pytest.raises(HistoryError, match="disagrees with its manifest"):
             HistoryStore(db).audit()
+
+    @pytest.mark.parametrize(
+        "sql, message",
+        [
+            ("UPDATE archive SET bound = bound * 2.0 WHERE t = 3.0", "disagrees"),
+            ("DELETE FROM archive WHERE t = 50.0 AND stream_key = 1", "disagrees"),
+            ("INSERT INTO archive VALUES (1, 500.0, 1.0, 0.5, 1)", "disagrees"),
+            ("INSERT INTO archive VALUES (1, 500.0, 1.0, 0.5, 99)", "no manifest"),
+            ("UPDATE batches SET sha256 = replace(sha256, substr(sha256, 1, 1), "
+             "'x') WHERE batch = 2", "disagrees"),
+            ("UPDATE batches SET rows = rows - 1 WHERE batch = 3", "disagrees"),
+            ("DELETE FROM batches WHERE batch = 4", "no manifest"),
+        ],
+        ids=["bound", "deleted-row", "inserted-row", "unmanifested-row",
+             "manifest-digest", "manifest-count", "manifest-deleted"],
+    )
+    def test_audit_catches_every_tamper(self, db, sql, message):
+        assert HistoryStore(db).audit() == 160
+        _tamper(db, sql)
+        with pytest.raises(HistoryError, match=message):
+            HistoryStore(db).audit("s1")
+
+    def test_audit_reads_one_snapshot(self, db):
+        # A batch committed between the audit's manifest read and its row
+        # read would look like rows without a manifest; one read
+        # transaction keeps the two consistent.
+        store = HistoryStore(db)
+        writer = ArchiveWriter(db, {"s0": 0.5})
+
+        def flush_mid_audit(sql):
+            if sql.startswith("SELECT stream_key, t, value, bound, batch"):
+                writer.ingest("s0", 500.0, 1.0)
+                writer.flush()
+
+        store._conn.set_trace_callback(flush_mid_audit)
+        assert store.audit() == 160  # the snapshot predates the flush
+        store._conn.set_trace_callback(None)
+        writer.close()
+        assert store.audit() == 161
+
+    def test_duplicate_inside_one_buffer_manifests_the_rows_kept(self, db):
+        store = HistoryStore(db)
+        with ArchiveWriter(db, {"s0": 0.5}, batch_size=1024) as w:
+            w.ingest("s0", 7.0, 123.0)      # already archived: ignored
+            w.ingest("s0", 100.0, 1.0)
+            w.ingest("s0", 100.0, 2.0)      # duplicate in the buffer
+            w.ingest("s0", 101.0, 3.0)
+            assert w.flush() == 2
+        assert store.audit("s0") == 82
+        # the first offer of a duplicated key is the one kept
+        assert [t.value for t in store.range_query("s0", 100.0, 101.0)] == [1.0, 3.0]
+        assert store.point("s0", at_t=7.0).value != 123.0
 
     def test_schema_version_mismatch_refuses(self, db):
         conn = sqlite3.connect(db)
