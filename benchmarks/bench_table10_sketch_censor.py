@@ -20,6 +20,7 @@ are gated, not just reported:
   at N=100k.
 """
 
+import os
 import time
 
 import numpy as np
@@ -165,6 +166,7 @@ def test_table10_sketch_censor(benchmark, record_result):
             "process_sigma": PROCESS_SIGMA,
             "meas_sigma": MEAS_SIGMA,
             "grid": [[label, dim, tau] for label, dim, tau in GRID],
+            "host_cores": os.cpu_count() or 1,
         },
         headline={
             "speedup_working_point": cells["sketch2+censor"]["speedup"],

@@ -21,8 +21,6 @@ Rows buffer in memory and commit in one transaction per batch
 (``INSERT OR IGNORE`` — re-offering a tuple the archive already holds
 is a no-op, which lets the live and eviction feeds overlap freely),
 closed by the batch's SHA-256 manifest of the rows it inserted.
-Each committed batch records an ``archive_flush`` trace event and
-advances ``repro_history_rows_total``.
 """
 
 from __future__ import annotations
@@ -80,6 +78,9 @@ class ArchiveWriter:
         self.bounds = dict(bounds)
         self.batch_size = batch_size
         self._conn = connect(path)
+        # A flush appends to ~one tail leaf per stream: cache one page per
+        # stream, plus headroom for interior pages, `streams` and `batches`.
+        self._conn.execute(f"PRAGMA cache_size={len(self.bounds) + 512}")
         with self._conn:
             # An upsert, never REPLACE: a re-registered stream keeps its
             # key, so the rows it already archived stay its own.

@@ -12,12 +12,8 @@ through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
 kernel the property suite pins bit for bit to a real dsms
 :class:`~repro.dsms.operators.WindowAggregate`, so an archival answer's
 value *and* bound are bitwise what direct dsms evaluation of the same
-served tuples produces.  The store adds no arithmetic of its own on the
-exact path.  A separate *series* path
-(:meth:`HistoryStore.aggregate_series`) pushes rolling aggregates down
-into SQLite window functions for dashboard-scale scans — exact for the
-selection aggregates (min/max, and their max-of-bounds rule), floating-
-point-reassociated for mean/sum, and documented as such.
+served tuples produces.  :meth:`HistoryStore.aggregate_series` is the
+one exception: rolling SQL window functions, whose sums reassociate.
 
 :meth:`audit` closes the durability loop: it re-hashes every batch
 against the manifest its flush wrote (see :mod:`repro.history.db`) —
@@ -182,7 +178,6 @@ class HistoryStore:
             (self._key(stream_id), t_end, int(size)),
         ).fetchall()
 
-
     # -- queries --------------------------------------------------------
     def point(self, stream_id: str, at_t: float | None = None) -> StreamTuple:
         """The archived value as of ``at_t``: the newest tuple with t ≤ at_t.
@@ -321,12 +316,7 @@ class HistoryStore:
                 (key, float(t_start), float(t_end)),
             ).fetchall()
         self._record("series", t0, len(rows))
-        return [
-            StreamTuple(
-                t=t, stream_id=f"{aggregate}({stream_id})", value=v, bound=b
-            )
-            for t, v, b in rows
-        ]
+        return list(stream_tuples(f"{aggregate}({stream_id})", rows))
 
     # -- integrity ------------------------------------------------------
     def audit(self, stream_id: str | None = None) -> int:

@@ -9,14 +9,20 @@ no-tuple-lost regression.
 """
 
 import hashlib
+import os
 import sqlite3
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.manager import FleetEngine
 from repro.errors import HistoryError
-from repro.history import ArchiveWriter, HistoryStore
+from repro.history import ArchiveWriter, HistoryStore, connect
+from repro.history.db import WAL_AUTOCHECKPOINT
 from repro.kalman.models import random_walk
 from repro.obs import Telemetry, tracing
 from repro.serving import ServingStore
@@ -359,3 +365,61 @@ class TestTelemetry:
             _fill(w, 5)
             w.flush()
         assert "repro_history_rows_total 5" in tel.render_prometheus()
+
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+#: Registers STREAMS streams, commits TICKS one-tick flushes, then exits
+#: without ``close()``: no final checkpoint, no WAL cleanup.
+_CRASHING_WRITER = """
+import os, sys
+from repro.history import ArchiveWriter
+streams, ticks = int(sys.argv[2]), int(sys.argv[3])
+writer = ArchiveWriter(sys.argv[1], {f"s{i}": 0.25 for i in range(streams)})
+for k in range(ticks):
+    for i in range(streams):
+        writer.ingest(f"s{i}", float(k), (i * 7919 + k * 104729) / 3.0)
+    writer.flush()
+os._exit(0)
+"""
+
+
+class TestDurabilityContract:
+    """What the per-flush commit promises without a per-flush checkpoint."""
+
+    STREAMS, TICKS = 300, 4
+
+    def test_committed_rows_survive_process_exit_without_close(self, db):
+        proc = subprocess.run(
+            [sys.executable, "-c", _CRASHING_WRITER, str(db),
+             str(self.STREAMS), str(self.TICKS)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        # The commits live in the WAL: nothing checkpointed them away.
+        assert Path(f"{db}-wal").stat().st_size > 0
+        with HistoryStore(db) as store:
+            assert store.row_count() == self.STREAMS * self.TICKS
+            assert store.audit() == self.STREAMS * self.TICKS
+            got = [struct.pack("<ddd", r.t, r.value, r.bound)
+                   for r in store.range_query("s17", 0.0, float(self.TICKS))]
+        offered = [struct.pack("<ddd", float(k), (17 * 7919 + k * 104729) / 3.0, 0.25)
+                   for k in range(self.TICKS)]
+        assert got == offered
+
+    def test_checkpoint_cadence_and_writer_cache(self, db):
+        conn = connect(db)
+        try:
+            assert conn.execute("PRAGMA wal_autocheckpoint").fetchone() == (
+                WAL_AUTOCHECKPOINT,
+            )
+            assert conn.execute("PRAGMA synchronous").fetchone() == (1,)  # NORMAL
+            assert conn.execute("PRAGMA journal_mode").fetchone() == ("wal",)
+        finally:
+            conn.close()
+        bounds = {f"s{i}": 0.5 for i in range(self.STREAMS)}
+        with ArchiveWriter(db, bounds) as writer:
+            (pages,) = writer._conn.execute("PRAGMA cache_size").fetchone()
+        assert pages >= self.STREAMS
