@@ -1,9 +1,11 @@
 """T9 — historical query store: ingest rate, index speedup, hybrid latency.
 
 History claim: the SQLite archive ingests served tuples at batch rates
-far above any live stream's tick rate, its ``(stream_key, t)`` primary
-key (the ``WITHOUT ROWID`` table is its own covering index) turns
-archival range queries from linear scans into logarithmic seeks, and
+far above any live stream's tick rate, its ``(grp, t, sub)`` primary
+key (the ``WITHOUT ROWID`` table is its own covering index; a range
+query seeks the stream's group and filters ``sub``, decoding the group's
+``G`` rows per tick) turns archival range queries from linear scans into
+logarithmic seeks, and
 hybrid serving answers over archived history at latencies of the same
 order as the pure-live T8 path.
 

@@ -26,7 +26,6 @@ from repro.core.allocation import (
     allocate_uniform,
     allocate_waterfilling,
 )
-from repro.core.fusion import FusedEstimate, FusedView, fuse
 from repro.core.manager import (
     DynamicFleetResult,
     Engine,
@@ -91,9 +90,6 @@ __all__ = [
     "MirroredPredictorPolicy",
     "PeriodicPolicy",
     "ModelBankSelector",
-    "FusedEstimate",
-    "FusedView",
-    "fuse",
     "EkfPredictor",
     "EkfSuppressionPolicy",
     "RangeBearingBound",

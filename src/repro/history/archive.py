@@ -29,14 +29,13 @@ import hashlib
 import math
 import sqlite3
 from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import HistoryError
-from repro.history.db import ROW, connect
+from repro.history.db import ROW, G, connect
 from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
@@ -78,8 +77,9 @@ class ArchiveWriter:
         self.bounds = dict(bounds)
         self.batch_size = batch_size
         self._conn = connect(path)
-        # A flush appends to ~one tail leaf per stream: cache one page per
-        # stream, plus headroom for interior pages, `streams` and `batches`.
+        # A flush appends to ~one tail leaf per group, but a full tail splits
+        # against its neighbours: one page per stream (not per group, ~0.4 ms
+        # a flush slower) plus headroom for interior pages and the catalogue.
         self._conn.execute(f"PRAGMA cache_size={len(self.bounds) + 512}")
         with self._conn:
             # An upsert, never REPLACE: a re-registered stream keeps its
@@ -201,8 +201,8 @@ class ArchiveWriter:
             return 0
         rows = self._buffer
         self._buffer = []
-        # Stable, so the first offer of a duplicated key is the one kept.
-        rows.sort(key=itemgetter(0, 1))
+        # (grp, t, sub) order; stable, so a duplicate's first offer is kept.
+        rows.sort(key=lambda r: (r[0] // G, r[1], r[0] % G))
         tel = self._tel
         conn = self._conn
         try:
@@ -213,20 +213,21 @@ class ArchiveWriter:
                 ).fetchone()
                 before = conn.total_changes
                 conn.executemany(
-                    f"INSERT OR IGNORE INTO archive VALUES (?, ?, ?, ?, {batch})", rows
+                    f"INSERT OR IGNORE INTO archive VALUES (?1/{G}, ?2, ?1%{G}, ?3, ?4, {batch})",
+                    rows,
                 )
                 inserted = conn.total_changes - before
                 if inserted:
                     mine = rows
                     if inserted < len(rows):  # some offers were ignored:
-                        mine = []  # re-read this batch's own rows, per stream
-                        for key, group in groupby(rows, itemgetter(0)):
+                        mine = []  # re-read this batch's own rows, per group
+                        for grp, group in groupby(rows, lambda r: r[0] // G):
                             group = list(group)
                             mine += conn.execute(
-                                "SELECT stream_key, t, value, bound FROM archive "
-                                "WHERE stream_key = ? AND t BETWEEN ? AND ? "
-                                "AND batch = ? ORDER BY t",
-                                (key, group[0][1], group[-1][1], batch),
+                                f"SELECT grp * {G} + sub, t, value, bound "
+                                "FROM archive WHERE grp = ? AND t BETWEEN ? AND ? "
+                                "AND batch = ? ORDER BY t, sub",
+                                (grp, group[0][1], group[-1][1], batch),
                             ).fetchall()
                     digest = hashlib.sha256(b"".join([ROW.pack(*r) for r in mine]))
                     conn.execute(

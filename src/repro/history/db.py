@@ -4,12 +4,13 @@ One archive database holds the served history of one fleet: a
 ``streams`` catalogue (stream id → integer ``stream_key`` and δ), an
 ``archive`` table storing each served tuple once, and a ``batches``
 table with one manifest per flush.  ``archive`` is ``WITHOUT ROWID``
-with ``PRIMARY KEY (stream_key, t)``, so the table *is* the covering
-index.  SQLite ``REAL`` is an IEEE-754 double stored verbatim, so values
-round-trip bitwise (except ``-0.0``, stored as ``0.0``).  A manifest is
-the SHA-256 of the rows its flush inserted, packed :data:`ROW` in
-primary-key order and written last in the flush's transaction: it is
-the commit point that :meth:`HistoryStore.audit` re-hashes against, the
+with ``PRIMARY KEY (grp, t, sub)``, ``grp, sub = divmod(stream_key, G)``:
+the table *is* the covering index, and one tick of a group's :data:`G`
+streams shares a leaf.  ``REAL`` is an IEEE-754 double stored verbatim
+(``-0.0`` becomes ``0.0``).  A manifest is the SHA-256 of the rows its
+flush inserted, packed :data:`ROW` as ``(stream_key, t, value, bound)``
+in primary-key order and written last in the flush's transaction: the
+commit point that :meth:`HistoryStore.audit` re-hashes against, the
 checkpoint store's verify-before-trust posture applied to rows.
 A process crash loses no committed flush (its frames are in the WAL);
 power loss may roll back up to one :data:`WAL_AUTOCHECKPOINT`-page WAL.
@@ -28,18 +29,24 @@ from pathlib import Path
 
 from repro.errors import HistoryError
 
-__all__ = ["SCHEMA_VERSION", "WAL_AUTOCHECKPOINT", "connect"]
+__all__ = ["G", "SCHEMA_VERSION", "WAL_AUTOCHECKPOINT", "connect"]
 
 #: Bump on any incompatible layout change; mismatched archives refuse to
 #: open rather than mis-parse.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+#: Streams per cluster group.  A per-tick flush dirties ~one tail leaf per
+#: group, so G = 4 halves a 1024-stream flush (mean ~13.5 → ~6.8 ms) while a
+#: per-stream read decodes G rows per tick (range query +14 %); G = 8 bought
+#: more write speed for +23 % on archive reads.  Changing it is a new schema.
+G = 4
 
 #: One archived row as a batch manifest hashes it.
 ROW = struct.Struct("<qddd")
 
 #: WAL pages between automatic checkpoints (64 MiB of 4 KiB pages).  A flush
-#: writes ~one frame per stream: at the default 1000, a 1024-stream fleet paid
-#: a checkpoint + fsyncs (~9 of ~22 ms) per flush; now once per ~16 flushes.
+#: writes about one frame per group: at the default 1000, a 1024-stream fleet
+#: paid a checkpoint + fsyncs per flush; now one in many flushes does.
 WAL_AUTOCHECKPOINT = 16384
 
 _SCHEMA = f"""
@@ -54,12 +61,13 @@ CREATE TABLE IF NOT EXISTS streams (
     delta      REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS archive (
-    stream_key INTEGER NOT NULL,
-    t          REAL NOT NULL,
-    value      REAL NOT NULL,
-    bound      REAL NOT NULL,
-    batch      INTEGER NOT NULL,
-    PRIMARY KEY (stream_key, t)
+    grp   INTEGER NOT NULL,
+    t     REAL NOT NULL,
+    sub   INTEGER NOT NULL,
+    value REAL NOT NULL,
+    bound REAL NOT NULL,
+    batch INTEGER NOT NULL,
+    PRIMARY KEY (grp, t, sub)
 ) WITHOUT ROWID;
 CREATE TABLE IF NOT EXISTS batches (
     batch  INTEGER PRIMARY KEY,
@@ -76,7 +84,7 @@ def connect(path: str | Path) -> sqlite3.Connection:
 
     Reads before it writes: a database with tables but no ``meta`` table
     (someone else's file), or stamped with another schema version, is
-    refused with a :class:`HistoryError` and left untouched.
+    refused with a :class:`HistoryError` and left untouched (no migration).
     ``:memory:`` is accepted for tests and benchmarks.  WAL journaling
     keeps readers un-blocked while the writer commits batches;
     ``synchronous=NORMAL`` syncs only at WAL checkpoints, which the

@@ -2,10 +2,10 @@
 
 A :class:`HistoryStore` answers point / range / windowed-aggregate
 queries over *arbitrary past tick ranges* of the SQLite archive.  Range
-selection rides the archive's ``(stream_key, t)`` primary key — the
+selection rides the archive's ``(grp, t, sub)`` primary key — the
 ``WITHOUT ROWID`` table is its own covering index, so a range query is
-one ordered seek-and-scan — and tuples are rebuilt bitwise from the
-columns (SQLite ``REAL`` is an IEEE-754 double stored verbatim).
+one ordered seek-and-scan of the stream's group — and tuples are rebuilt
+bitwise (SQLite ``REAL`` is an IEEE-754 double stored verbatim).
 
 Aggregation keeps the serving tier's central guarantee: members go
 through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
@@ -31,7 +31,7 @@ from time import perf_counter
 from repro.dsms.operators import replay_aggregate
 from repro.dsms.tuples import StreamTuple, stream_tuples
 from repro.errors import HistoryError
-from repro.history.db import ROW, connect
+from repro.history.db import ROW, G, connect
 from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
@@ -93,15 +93,15 @@ class HistoryStore:
         self.close()
 
     # -- bookkeeping ----------------------------------------------------
-    def _key(self, stream_id: str) -> int:
-        """The stream's integer archive key (refreshing the catalogue once)."""
+    def _key(self, stream_id: str) -> tuple[int, int]:
+        """The stream's ``(grp, sub)`` archive key (refreshing the catalogue once)."""
         if stream_id not in self._keys:
             self.refresh_bounds()
             if stream_id not in self._keys:
                 raise HistoryError(
                     f"unknown stream {stream_id!r}; archived: {sorted(self.bounds)}"
                 )
-        return self._keys[stream_id]
+        return divmod(self._keys[stream_id], G)
 
     def row_count(self, stream_id: str | None = None) -> int:
         """Archived tuples, for one stream or overall."""
@@ -109,16 +109,16 @@ class HistoryStore:
             (n,) = self._conn.execute("SELECT COUNT(*) FROM archive").fetchone()
         else:
             (n,) = self._conn.execute(
-                "SELECT COUNT(*) FROM archive WHERE stream_key = ?",
-                (self._key(stream_id),),
+                "SELECT COUNT(*) FROM archive WHERE grp = ? AND sub = ?",
+                self._key(stream_id),
             ).fetchone()
         return int(n)
 
     def span(self, stream_id: str) -> tuple[float, float, int]:
         """``(t_min, t_max, rows)`` of one stream's archived history."""
         t_min, t_max, n = self._conn.execute(
-            "SELECT MIN(t), MAX(t), COUNT(*) FROM archive WHERE stream_key = ?",
-            (self._key(stream_id),),
+            "SELECT MIN(t), MAX(t), COUNT(*) FROM archive WHERE grp = ? AND sub = ?",
+            self._key(stream_id),
         ).fetchone()
         if not n:
             raise HistoryError(f"stream {stream_id!r} has no archived history yet")
@@ -150,7 +150,7 @@ class HistoryStore:
         from the planner (``NOT INDEXED`` would not: on a ``WITHOUT
         ROWID`` table it still searches the primary key).
         """
-        key = self._key(stream_id)
+        grp, sub = self._key(stream_id)
         if not (math.isfinite(t_start) and math.isfinite(t_end)):
             raise HistoryError(
                 f"range endpoints must be finite, got [{t_start!r}, {t_end!r}]"
@@ -162,9 +162,9 @@ class HistoryStore:
         plus = "" if use_index else "+"
         try:
             return self._conn.execute(
-                f"SELECT t, value, bound FROM archive WHERE {plus}stream_key = ? "
-                f"AND {plus}t BETWEEN ? AND ? ORDER BY t",
-                (key, float(t_start), float(t_end)),
+                f"SELECT t, value, bound FROM archive WHERE {plus}grp = ? "
+                f"AND {plus}sub = ? AND {plus}t BETWEEN ? AND ? ORDER BY t",
+                (grp, sub, float(t_start), float(t_end)),
             ).fetchall()
         except sqlite3.Error as exc:
             raise HistoryError(f"archive query failed: {exc}") from exc
@@ -174,8 +174,8 @@ class HistoryStore:
         t_end = math.inf if t_end is None else float(t_end)
         return self._conn.execute(
             "SELECT t, value, bound FROM archive "
-            "WHERE stream_key = ? AND t <= ? ORDER BY t DESC LIMIT ?",
-            (self._key(stream_id), t_end, int(size)),
+            "WHERE grp = ? AND sub = ? AND t <= ? ORDER BY t DESC LIMIT ?",
+            (*self._key(stream_id), t_end, int(size)),
         ).fetchall()
 
     # -- queries --------------------------------------------------------
@@ -300,7 +300,7 @@ class HistoryStore:
         if size < 1:
             raise HistoryError(f"size must be >= 1, got {size!r}")
         t0 = perf_counter()
-        key = self._key(stream_id)
+        grp, sub = self._key(stream_id)
         value_fn, bound_fn = spec
         frame = f"ROWS BETWEEN {int(size) - 1} PRECEDING AND CURRENT ROW"
         # The window frame must see the `size - 1` tuples *before*
@@ -310,10 +310,10 @@ class HistoryStore:
             rows = self._conn.execute(
                 "SELECT t, v, b FROM ("
                 f"  SELECT t, {value_fn} AS v, {bound_fn} AS b"
-                "   FROM archive WHERE stream_key = ?"
+                "   FROM archive WHERE grp = ? AND sub = ?"
                 f"  WINDOW w AS (ORDER BY t {frame})"
                 ") WHERE t BETWEEN ? AND ? ORDER BY t",
-                (key, float(t_start), float(t_end)),
+                (grp, sub, float(t_start), float(t_end)),
             ).fetchall()
         self._record("series", t0, len(rows))
         return list(stream_tuples(f"{aggregate}({stream_id})", rows))
@@ -335,8 +335,8 @@ class HistoryStore:
             manifests = conn.execute("SELECT * FROM batches").fetchall()
             seen = {batch: [0, hashlib.sha256()] for batch, _, _ in manifests}
             for row in conn.execute(
-                "SELECT stream_key, t, value, bound, batch FROM archive "
-                "ORDER BY stream_key, t"
+                f"SELECT grp * {G} + sub, t, value, bound, batch FROM archive "
+                "ORDER BY grp, t, sub"
             ):
                 if row[4] not in seen:
                     raise HistoryError(
@@ -346,7 +346,7 @@ class HistoryStore:
                 entry = seen[row[4]]
                 entry[0] += 1
                 entry[1].update(ROW.pack(*row[:4]))
-                audited += key is None or row[0] == key
+                audited += key is None or divmod(row[0], G) == key
         finally:
             conn.rollback()
         for batch, rows, sha256 in manifests:

@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from dataclasses import dataclass, replace
+from math import isfinite
 from time import perf_counter
 
 from repro.dsms.operators import replay_aggregate
@@ -102,9 +103,9 @@ class AdmissionConfig:
             raise ServingError(
                 f"max_inflight must be >= 1, got {self.max_inflight!r}"
             )
-        if self.drift_per_tick < 0:
+        if not (self.drift_per_tick >= 0 and isfinite(self.drift_per_tick)):
             raise ServingError(
-                f"drift_per_tick must be >= 0, got {self.drift_per_tick!r}"
+                f"drift_per_tick must be finite and >= 0, got {self.drift_per_tick!r}"
             )
         if self.cache_capacity < 1:
             raise ServingError(

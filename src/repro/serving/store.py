@@ -65,8 +65,11 @@ class ServingStore:
         if not bounds:
             raise ServingError("a serving store needs at least one stream bound")
         for sid, delta in bounds.items():
-            if delta < 0:
-                raise ServingError(f"bound for {sid!r} must be >= 0, got {delta!r}")
+            # NaN fails every comparison, so test for the good range.
+            if not (delta >= 0 and isfinite(delta)):
+                raise ServingError(
+                    f"bound for {sid!r} must be finite and >= 0, got {delta!r}"
+                )
         if history < 1:
             raise ServingError(f"history must be >= 1, got {history!r}")
         self.bounds = dict(bounds)

@@ -22,7 +22,7 @@ import pytest
 from repro.core.manager import FleetEngine
 from repro.errors import HistoryError
 from repro.history import ArchiveWriter, HistoryStore, connect
-from repro.history.db import WAL_AUTOCHECKPOINT
+from repro.history.db import G, WAL_AUTOCHECKPOINT
 from repro.kalman.models import random_walk
 from repro.obs import Telemetry, tracing
 from repro.serving import ServingStore
@@ -80,6 +80,35 @@ INSERT INTO archive VALUES ('s', 0.0, 1.5, 0.5, X'7B7D');
 """
 
 
+#: The schema-v2 layout, verbatim: one ``(stream_key, t)``-clustered
+#: WITHOUT ROWID table and per-flush manifests.
+V2_SCHEMA = """
+CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
+CREATE TABLE streams (
+    stream_key INTEGER PRIMARY KEY,
+    stream_id  TEXT NOT NULL UNIQUE,
+    delta      REAL NOT NULL
+);
+CREATE TABLE archive (
+    stream_key INTEGER NOT NULL,
+    t          REAL NOT NULL,
+    value      REAL NOT NULL,
+    bound      REAL NOT NULL,
+    batch      INTEGER NOT NULL,
+    PRIMARY KEY (stream_key, t)
+) WITHOUT ROWID;
+CREATE TABLE batches (
+    batch  INTEGER PRIMARY KEY,
+    rows   INTEGER NOT NULL,
+    sha256 TEXT NOT NULL
+);
+INSERT INTO meta VALUES ('schema_version', '2');
+INSERT INTO streams VALUES (1, 's', 0.5);
+INSERT INTO archive VALUES (1, 0.0, 1.5, 0.5, 1);
+INSERT INTO batches VALUES (1, 1, 'not checked');
+"""
+
+
 def _sqlite_file(path, script, wal):
     conn = sqlite3.connect(path)
     if wal:
@@ -93,7 +122,7 @@ def _sha256(path):
 
 
 class TestRefuseBeforeMutating:
-    """A file that is not a v2 archive is refused and left byte-identical."""
+    """A file that is not a v3 archive is refused and left byte-identical."""
 
     @pytest.mark.parametrize("opener", [
         lambda p: ArchiveWriter(p, {"s": 0.5}),
@@ -102,13 +131,28 @@ class TestRefuseBeforeMutating:
     def test_v1_archive_refused_untouched(self, db, opener):
         _sqlite_file(db, V1_SCHEMA, wal=True)
         before = _sha256(db)
-        with pytest.raises(HistoryError, match="schema version '1' is not the supported 2"):
+        with pytest.raises(HistoryError, match="schema version '1' is not the supported 3"):
             opener(db)
         assert _sha256(db) == before
         conn = sqlite3.connect(db)
         tables = {n for (n,) in conn.execute("SELECT name FROM sqlite_master")}
         conn.close()
         assert "batches" not in tables
+
+    @pytest.mark.parametrize("opener", [
+        lambda p: ArchiveWriter(p, {"s": 0.5}),
+        HistoryStore,
+    ], ids=["writer", "store"])
+    def test_v2_archive_refused_untouched(self, db, opener):
+        _sqlite_file(db, V2_SCHEMA, wal=True)
+        before = _sha256(db)
+        with pytest.raises(HistoryError, match="schema version '2' is not the supported 3"):
+            opener(db)
+        assert _sha256(db) == before
+        conn = sqlite3.connect(db)
+        columns = [c[1] for c in conn.execute("PRAGMA table_info(archive)")]
+        conn.close()
+        assert columns == ["stream_key", "t", "value", "bound", "batch"]
 
     @pytest.mark.parametrize("opener", [
         lambda p: ArchiveWriter(p, {"s": 0.5}),
@@ -423,3 +467,44 @@ class TestDurabilityContract:
         with ArchiveWriter(db, bounds) as writer:
             (pages,) = writer._conn.execute("PRAGMA cache_size").fetchone()
         assert pages >= self.STREAMS
+
+
+class TestClusterLayout:
+    """Schema v3: rows cluster by (stream group, t), G streams per group."""
+
+    def test_primary_key_is_group_time_sub(self, db):
+        with ArchiveWriter(db, {f"s{i}": 0.5 for i in range(2 * G)}) as w:
+            for i in range(2 * G):
+                w.ingest(f"s{i}", 0.0, float(i))
+        conn = sqlite3.connect(db)
+        try:
+            pk = sorted((c[5], c[1]) for c in conn.execute("PRAGMA table_info(archive)"))
+            keys = dict(conn.execute("SELECT stream_id, stream_key FROM streams"))
+            stored = {v: (g, s) for v, g, s in conn.execute("SELECT value, grp, sub FROM archive")}
+        finally:
+            conn.close()
+        assert [name for rank, name in pk if rank] == ["grp", "t", "sub"]
+        for i in range(2 * G):
+            assert stored[float(i)] == divmod(keys[f"s{i}"], G)
+
+    def test_a_steady_flush_writes_fewer_frames_than_streams(self, db):
+        # Past ~100 ticks every group owns its tail leaf; one tick's flush
+        # then dirties ~one leaf per group (N/G), where (stream_key, t)
+        # clustering dirtied more than one leaf per stream (> N).
+        streams, warm = 256, 150
+        writer = ArchiveWriter(db, {f"s{i}": 0.25 for i in range(streams)},
+                               batch_size=10 * streams)
+
+        def tick(k):
+            for i in range(streams):
+                writer.ingest(f"s{i}", float(k), (i * 7919 + k * 104729) / 3.0)
+            writer.flush()
+
+        for k in range(warm):
+            tick(k)
+        conn = writer._conn
+        conn.execute("PRAGMA wal_checkpoint(TRUNCATE)").fetchall()
+        tick(warm)
+        (_, frames, _) = conn.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchone()
+        writer.close()
+        assert 0 < frames < 0.6 * streams

@@ -16,7 +16,7 @@ from repro.dsms.operators import WindowAggregate
 from repro.dsms.precision_propagation import aggregate_bound
 from repro.errors import HistoryError
 from repro.history import ArchiveWriter, HistoryStore
-from repro.history.db import SCHEMA_VERSION
+from repro.history.db import G, SCHEMA_VERSION
 from repro.obs import Telemetry, parse_prometheus, tracing
 
 AGGREGATES = ["mean", "sum", "min", "max", "median"]
@@ -161,7 +161,7 @@ class TestBitwiseParity:
             for sql in ran
         )
         assert indexed == [
-            "SEARCH archive USING PRIMARY KEY (stream_key=? AND t>? AND t<?)"
+            "SEARCH archive USING PRIMARY KEY (grp=? AND t>? AND t<?)"
         ]
         assert linear[0] == "SCAN archive"
         assert not any("SEARCH" in step for step in linear)
@@ -209,7 +209,7 @@ class TestIntegrity:
 
     def test_audit_catches_tampered_column(self, db):
         _tamper(db, "UPDATE archive SET value = value + 1.0 WHERE t = 7.0 "
-                    "AND stream_key = (SELECT stream_key FROM streams "
+                    f"AND grp * {G} + sub = (SELECT stream_key FROM streams "
                     "WHERE stream_id = 's0')")
         with pytest.raises(HistoryError, match="disagrees with its manifest"):
             HistoryStore(db).audit()
@@ -218,9 +218,9 @@ class TestIntegrity:
         "sql, message",
         [
             ("UPDATE archive SET bound = bound * 2.0 WHERE t = 3.0", "disagrees"),
-            ("DELETE FROM archive WHERE t = 50.0 AND stream_key = 1", "disagrees"),
-            ("INSERT INTO archive VALUES (1, 500.0, 1.0, 0.5, 1)", "disagrees"),
-            ("INSERT INTO archive VALUES (1, 500.0, 1.0, 0.5, 99)", "no manifest"),
+            ("DELETE FROM archive WHERE t = 50.0 AND grp = 0 AND sub = 1", "disagrees"),
+            ("INSERT INTO archive VALUES (0, 500.0, 1, 1.0, 0.5, 1)", "disagrees"),
+            ("INSERT INTO archive VALUES (0, 500.0, 1, 1.0, 0.5, 99)", "no manifest"),
             ("UPDATE batches SET sha256 = replace(sha256, substr(sha256, 1, 1), "
              "'x') WHERE batch = 2", "disagrees"),
             ("UPDATE batches SET rows = rows - 1 WHERE batch = 3", "disagrees"),
@@ -243,7 +243,7 @@ class TestIntegrity:
         writer = ArchiveWriter(db, {"s0": 0.5})
 
         def flush_mid_audit(sql):
-            if sql.startswith("SELECT stream_key, t, value, bound, batch"):
+            if sql.startswith(f"SELECT grp * {G} + sub, t, value, bound, batch"):
                 writer.ingest("s0", 500.0, 1.0)
                 writer.flush()
 

@@ -22,6 +22,11 @@ Defects pinned here so they cannot regress:
    request types now refuse it at construction with a ``ServingError``.
 6. ``ServingStore.tuples_between`` compared every resident tuple; it now
    bisects the sorted ring — same tuples, same closed ends.
+7. ``ServingStore`` accepted a NaN or infinite δ and ``AdmissionConfig``
+   a NaN ``drift_per_tick`` (``x < 0`` is False for NaN).  An ∞-bound
+   tuple then reached the archive's eviction hook only after the ring
+   had dropped it, and was lost from ring ∪ archive.  Both now refuse
+   a non-finite value at construction with a ``ServingError``.
 """
 
 import asyncio
@@ -138,6 +143,32 @@ class TestIngestFiniteness:
             store.ingest("a", 1.0, value)
         assert store.version == version and not evicted
         assert store.point("a").value == 1.0
+
+
+class TestNonFiniteBound:
+    """A non-finite δ is refused before any tuple can carry it."""
+
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -float("inf")])
+    def test_store_refuses_nonfinite_bound(self, delta):
+        with pytest.raises(ServingError, match="must be finite"):
+            ServingStore({"ok": 0.5, "s": delta})
+
+    @pytest.mark.parametrize("drift", [float("nan"), float("inf")])
+    def test_admission_refuses_nonfinite_drift(self, drift):
+        with pytest.raises(ServingError, match="drift_per_tick must be finite"):
+            AdmissionConfig(drift_per_tick=drift)
+
+    def test_infinite_bound_cannot_lose_a_tuple_between_ring_and_archive(self, tmp_path):
+        # Pre-fix the store took δ=inf; the first eviction then raised in
+        # the archive's hook after the ring had dropped t=0, which ended
+        # up in neither.  Now the store is never built.
+        from repro.history import ArchiveWriter
+
+        with ArchiveWriter(tmp_path / "a.sqlite", {"s": 0.5}) as writer:
+            with pytest.raises(ServingError, match="must be finite"):
+                ServingStore({"s": float("inf")}, history=1,
+                             on_evict=writer.ingest_tuple)
+            assert writer.pending == 0
 
 
 class TestComponentValidation:
