@@ -21,6 +21,7 @@ Two measurements:
   the uninterrupted reference.
 """
 
+import os
 import time
 from pathlib import Path
 
@@ -211,6 +212,7 @@ def test_table7_durability(benchmark, record_result, tmp_path):
             "intervals": ["off" if i is None else i for i in INTERVALS],
             "budget": BUDGET,
             "fsync": True,
+            "host_cores": os.cpu_count() or 1,
         },
         headline={
             "overhead_pct": {k: round(v, 4) for k, v in overheads.items()},

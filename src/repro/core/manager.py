@@ -359,16 +359,42 @@ def _validated_deltas(deltas: np.ndarray, n: int) -> np.ndarray:
     return deltas
 
 
-#: Per-stream fields of both :class:`FleetEngine` state formats.
+#: Per-stream fields of the :class:`FleetEngine` state besides ``x`` / ``P``.
 _ACCOUNTING_FIELDS = ("warm", "messages", "n_predicts", "n_updates", "n_censored")
 _STATE_FIELDS = ("x", "P") + _ACCOUNTING_FIELDS
 
 
-def _validated_state(state: dict, n: int) -> dict:
-    """Either :class:`FleetEngine` state format, checked before a restore mutates."""
-    return validated_snapshot(
+def _validated_state(state: dict, n: int, dim_x: int) -> dict:
+    """The dense :class:`FleetEngine` state, checked before a restore mutates."""
+    validated_snapshot(
         state, n, _STATE_FIELDS, scalars=("ticks",), optional=("n_censored",)
     )
+    for name, shape in (("x", (n, dim_x)), ("P", (n, dim_x, dim_x))):
+        value = state[name]
+        if not isinstance(value, np.ndarray) or value.shape != shape:
+            got = value.shape if isinstance(value, np.ndarray) else type(value).__name__
+            raise ConfigurationError(
+                f"snapshot field {name!r} must be one {shape} array zero-padded "
+                f"to dim_x_max={dim_x}, got {got} (the per-stream list layout "
+                "is not read)"
+            )
+    return state
+
+
+def _accounting_arrays(state: dict, n: int) -> dict:
+    """A validated state's accounting vectors, as fresh arrays of engine dtype.
+
+    Checkpoints written before censoring existed omit ``n_censored``; it
+    reads as zeros.
+    """
+    out = {
+        name: np.array(state[name], dtype=bool if name == "warm" else int)
+        for name in _ACCOUNTING_FIELDS
+        if name in state
+    }
+    if "n_censored" not in out:
+        out["n_censored"] = np.zeros(n, dtype=int)
+    return out
 
 
 class FleetEngine:
@@ -455,67 +481,38 @@ class FleetEngine:
         """Nothing to release — the in-process side of :meth:`Engine.close`."""
 
     def state_snapshot(self) -> dict:
-        """Picklable snapshot of every piece of mutable engine state.
+        """Every piece of mutable engine state, as fresh dense arrays.
 
-        Everything :meth:`restore_state` needs to resume the engine
-        mid-run with bit-identical continuation: per-filter ``(x, P)``,
-        warm flags, message/tick accounting and the filter cycle counters.
-        The sharded runtime ships these across process boundaries so a
-        respawned worker picks up exactly where the dead one stopped, and
-        the durability layer persists them verbatim.  Every array is an
-        explicit defensive copy — a held snapshot must stay immutable
-        under subsequent :meth:`step` calls regardless of whether the
-        accessors return views or copies.
-        """
-        return {
-            "x": [
-                np.array(self.filters.x_of(i), dtype=float, copy=True)
-                for i in range(self.n)
-            ],
-            "P": [
-                np.array(self.filters.P_of(i), dtype=float, copy=True)
-                for i in range(self.n)
-            ],
-            **self._accounting(),
-        }
-
-    def restore_state(self, snapshot: dict) -> None:
-        """Resume from a :meth:`state_snapshot` (exact, bitwise)."""
-        _validated_state(snapshot, self.n)
-        for i, (x, p) in enumerate(zip(snapshot["x"], snapshot["P"])):
-            self.filters.set_state(i, x, p)
-        self._restore_accounting(snapshot)
-
-    def packed_state(self) -> dict:
-        """Mutable engine state as fixed-shape, fleet-indexed arrays.
-
-        The dense analogue of :meth:`state_snapshot`: ``x`` is
-        ``(N, dim_x_max)`` and ``P`` is ``(N, dim_x_max, dim_x_max)``
-        (zero-padded past each stream's ``dim_x``), the rest are the flat
-        per-stream accounting vectors plus the scalar tick counter.  This
-        is the form the sharded runtime writes straight into shared
-        memory — two vectorized scatters per shard instead of N
-        per-filter copies.  Round-trips bitwise through
-        :meth:`restore_packed`, and converts losslessly to/from the
-        :meth:`state_snapshot` list format (padding is dropped on the
-        way back out).
+        ``x`` is ``(N, dim_x_max)`` and ``P`` is ``(N, dim_x_max,
+        dim_x_max)``, zero-padded past each stream's ``dim_x``; the rest
+        are the per-stream accounting vectors and the scalar tick counter.
+        :meth:`restore_state` resumes from it with bit-identical
+        continuation.  It is the one state layout: the sharded runtime
+        writes it straight into shared memory and the durability layer
+        persists it verbatim.  Every array is a copy, so a held snapshot
+        stays immutable under later :meth:`step` calls.
         """
         x, P = self.filters.packed_states()
         return {"x": x, "P": P, **self._accounting()}
 
-    def restore_packed(self, state: dict) -> None:
-        """Resume from a :meth:`packed_state` dict (exact, bitwise).
+    def restore_state(self, snapshot: dict) -> None:
+        """Resume from a :meth:`state_snapshot` (exact, bitwise).
 
-        Accepts buffer-backed arrays (e.g. shared-memory views); every
-        field is copied on the way in, so the engine never aliases the
-        caller's storage.
+        Both array shapes and every field are checked before anything
+        mutates.  Accepts buffer-backed arrays (e.g. shared-memory
+        views); every field is copied on the way in, so the engine never
+        aliases the caller's storage.
         """
-        _validated_state(state, self.n)
-        self.filters.set_packed_states(state["x"], state["P"])
-        self._restore_accounting(state)
+        _validated_state(snapshot, self.n, self.filters.dim_x_max)
+        self.filters.set_packed_states(snapshot["x"], snapshot["P"])
+        self._restore_accounting(snapshot)
+
+    # The names benchmarks/e2e/pipeline.py calls; the same code path.
+    packed_state = state_snapshot
+    restore_packed = restore_state
 
     def _accounting(self) -> dict:
-        """The non-filter half of both state formats (copies)."""
+        """The non-filter half of the state (copies)."""
         return {
             "warm": self.warm.copy(),
             "messages": self.messages.copy(),
@@ -526,18 +523,12 @@ class FleetEngine:
         }
 
     def _restore_accounting(self, state: dict) -> None:
-        self.warm = np.asarray(state["warm"], dtype=bool).copy()
-        self.messages = np.asarray(state["messages"], dtype=int).copy()
+        acc = _accounting_arrays(state, self.n)
+        self.warm, self.messages = acc["warm"], acc["messages"]
         self.ticks = int(state["ticks"])
-        self.filters.n_predicts = np.asarray(state["n_predicts"], dtype=int).copy()
-        self.filters.n_updates = np.asarray(state["n_updates"], dtype=int).copy()
-        # Checkpoints written before censoring existed omit the counter.
-        n_censored = state.get("n_censored")
-        self.filters.n_censored = (
-            np.zeros(self.n, dtype=int)
-            if n_censored is None
-            else np.asarray(n_censored, dtype=int).copy()
-        )
+        self.filters.n_predicts = acc["n_predicts"]
+        self.filters.n_updates = acc["n_updates"]
+        self.filters.n_censored = acc["n_censored"]
 
     def step(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Advance the whole fleet one tick.

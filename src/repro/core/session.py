@@ -173,9 +173,10 @@ class DualKalmanPolicy(SuppressionPolicy):
     def policy_snapshot(self) -> dict:
         """Every piece of mutable policy state, for durable checkpoints.
 
-        The scalar counterpart of
-        :meth:`~repro.core.manager.FleetEngine.state_snapshot`: restoring
-        via :meth:`restore_policy` resumes the policy with bit-identical
+        The scalar counterpart of one row of
+        :meth:`~repro.core.manager.FleetEngine.state_snapshot`'s dense
+        arrays, unpadded and per replica: restoring via
+        :meth:`restore_policy` resumes the policy with bit-identical
         continuation (both replicas, suppression bookkeeping, sequence
         counter, message accounting).  Only fixed-bound policies are
         snapshotable — adaptation state is not captured, so an adaptive

@@ -9,7 +9,10 @@ engine before ever touching live state
 (:mod:`~repro.durability.recovery`).
 
 Every engine shares one ``state_snapshot`` / ``restore_state`` surface,
-so the wiring is one routine (:mod:`~repro.durability.engine`):
+and the batch and sharded fleets share one dense state layout (``x``,
+``P`` zero-padded to ``dim_x_max``, plus accounting vectors), so a
+checkpoint written by either restores into the other.  The wiring is
+one routine (:mod:`~repro.durability.engine`):
 :class:`~repro.core.manager.StreamResourceManager` checkpoints every
 ``checkpoint_every`` epochs of ``run_dynamic`` and resumes via
 ``resume=True``, :class:`~repro.parallel.runtime.ShardedFleetRuntime`

@@ -4,17 +4,20 @@ The durable checkpoint format inherits the contract of
 :meth:`~repro.core.manager.FleetEngine.state_snapshot` /
 :meth:`~repro.core.manager.FleetEngine.restore_state`: restoring must
 resume the run with *bit-identical* continuation.  That rules out any
-lossy serialization of floats, so numpy arrays travel as raw little-told
+lossy serialization of floats, so numpy arrays travel as raw
 ``tobytes()`` payloads (base64-wrapped for JSON), tagged with dtype and
 shape; Python floats survive ``json`` round-trips exactly by the
-shortest-repr guarantee, including NaN and the infinities.
+shortest-repr guarantee, including NaN and the infinities.  A fleet
+snapshot is dense — ``x (N, dim_x_max)``, ``P (N, dim_x_max,
+dim_x_max)`` and five ``(N,)`` accounting vectors — so a checkpoint
+carries seven tagged arrays whatever the fleet size.
 
 Only plain state shapes are accepted — dicts with string keys, lists and
 tuples, numpy arrays and scalars, ``bool``/``int``/``float``/``str`` and
 ``None`` — because a closed vocabulary is what makes a decoded payload
 safe to validate before it ever touches a live engine.  Tuples decode as
-lists (JSON has no tuple), which every ``restore_state`` implementation
-in this repo accepts.
+lists (JSON has no tuple); a fleet engine refuses a list where its
+state holds one dense array.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import shutil
 import time
@@ -89,9 +90,10 @@ class CheckpointStore:
 
     Args:
         root: Directory holding the generations (created if missing).
-        retain: Committed generations to keep; older ones are pruned
-            after each successful save.  This is the recovery fallback
-            depth — how many bad newest generations a restore can skip.
+        retain: Committed generations to keep (an integer >= 1); older
+            ones are pruned after each successful save.  This is the
+            recovery fallback depth — how many bad newest generations a
+            restore can skip.
         fsync: Fsync files and directories at every step (the durability
             guarantee).  Tests may disable it for speed; production code
             should not.
@@ -110,10 +112,10 @@ class CheckpointStore:
         fsync: bool = True,
         crash_hook: Callable[[str], None] | None = None,
     ):
-        if retain < 1:
-            raise ConfigurationError(f"retain must be >= 1, got {retain!r}")
+        if not isinstance(retain, numbers.Integral) or retain < 1:
+            raise ConfigurationError(f"retain must be an integer >= 1, got {retain!r}")
         self.root = Path(root)
-        self.retain = retain
+        self.retain = int(retain)
         self.fsync = fsync
         self.crash_hook = crash_hook
         self.root.mkdir(parents=True, exist_ok=True)
@@ -126,12 +128,20 @@ class CheckpointStore:
 
         ``payload`` may contain numpy arrays anywhere — it is encoded via
         :mod:`repro.durability.codec`, so a later :meth:`read` returns a
-        bitwise-equal reconstruction.
+        bitwise-equal reconstruction.  A non-dict payload or a ``tick``
+        that is not a whole number raises :class:`CheckpointError` before
+        anything is written.
         """
         if not isinstance(payload, dict):
             raise CheckpointError(
                 f"payload must be a dict, got {type(payload).__name__}"
             )
+        try:
+            whole = int(tick)
+        except (TypeError, ValueError, OverflowError):
+            whole = None
+        if whole is None or whole != tick:
+            raise CheckpointError(f"tick must be an integer, got {tick!r}")
         data = dumps_payload(payload)
         digest = hashlib.sha256(data).hexdigest()
         generation = self._next_generation()
@@ -143,7 +153,7 @@ class CheckpointStore:
         manifest = {
             "schema_version": self.SCHEMA_VERSION,
             "generation": generation,
-            "tick": int(tick),
+            "tick": whole,
             "payload_sha256": digest,
             "payload_bytes": len(data),
             "created_unix": time.time(),

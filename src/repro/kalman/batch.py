@@ -333,21 +333,6 @@ class BatchKalmanFilter:
         li, pos = self._where[i]
         return self._lanes[li].P[pos].copy()
 
-    def set_state(self, i: int, x: np.ndarray, P: np.ndarray) -> None:
-        """Overwrite one filter's mean and covariance (resync support)."""
-        li, pos = self._where[i]
-        lane = self._lanes[li]
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.shape != (lane.dim_x,):
-            raise DimensionError(f"x must have shape ({lane.dim_x},), got {x.shape}")
-        P = np.asarray(P, dtype=float)
-        if P.shape != (lane.dim_x, lane.dim_x):
-            raise DimensionError(
-                f"P must have shape ({lane.dim_x}, {lane.dim_x}), got {P.shape}"
-            )
-        lane.x[pos] = x
-        lane.P[pos] = 0.5 * (P + P.T)
-
     # ------------------------------------------------------------------
     # Packed state: fixed-shape, fleet-indexed arrays
     # ------------------------------------------------------------------
@@ -355,10 +340,10 @@ class BatchKalmanFilter:
         """All state as two dense arrays, zero-padded past each ``dim_x``.
 
         Returns ``(x, P)`` with shapes ``(N, dim_x_max)`` and
-        ``(N, dim_x_max, dim_x_max)`` in fleet order.  This is the
-        zero-copy-friendly form the sharded runtime ships through shared
-        memory: one vectorized scatter per lane instead of N per-filter
-        :meth:`x_of`/:meth:`P_of` copies.  Round-trips bitwise through
+        ``(N, dim_x_max, dim_x_max)`` in fleet order, freshly allocated:
+        one vectorized scatter per lane.  This is the filter half of
+        :meth:`~repro.core.manager.FleetEngine.state_snapshot`, the one
+        engine state layout.  Round-trips bitwise through
         :meth:`set_packed_states`.
         """
         x = np.zeros((self.n, self.dim_x_max))

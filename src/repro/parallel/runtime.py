@@ -26,13 +26,13 @@ Design rules:
   exactly ``recomputed_ticks`` ticks.
 * **Zero-copy transport** — each shard owns one
   ``multiprocessing.shared_memory`` segment holding its measurement
-  chunk, served/sent result regions, packed filter state and bounds.
+  chunk, served/sent result regions, dense engine state and bounds.
   Workers operate on views of that segment, so the only thing crossing
   the executor pipe per dispatch is a small header (shard id, tick
   count, layout) and the folded telemetry coming back.
 * **Fork-inherited engines** — shard engines are built coordinator-side
   into a module registry *before* the process pool forks, so workers
-  inherit them for free; each dispatch only restores the shipped packed
+  inherit them for free; each dispatch only restores the shipped dense
   state into the inherited engine.  On platforms that spawn instead of
   fork, a worker rebuilds its engine once from the pickled-models blob
   stored in the shard's segment and caches it.
@@ -63,6 +63,7 @@ from repro.core.manager import (
     _STATE_FIELDS,
     FleetEngine,
     FleetTrace,
+    _accounting_arrays,
     _validated_deltas,
     _validated_state,
     _validated_values,
@@ -296,16 +297,16 @@ def _run_chunk_shm(header: dict) -> tuple[int, list, list]:
     engine._tel = resolve_telemetry(tel)
     state = {f: seg.view(f) for f in _STATE_FIELDS}
     state["ticks"] = int(seg.view("ticks")[0])
-    engine.restore_packed(state)  # copies — never aliases the segment
+    engine.restore_state(state)  # copies — never aliases the segment
     engine.set_deltas(seg.view("deltas").copy())
     n_ticks = header["n_ticks"]
     trace = engine.run(seg.view("values")[:n_ticks])
     seg.view("served")[:n_ticks] = trace.served
     seg.view("sent")[:n_ticks] = trace.sent
-    packed = engine.packed_state()
+    advanced = engine.state_snapshot()
     for f in _STATE_FIELDS:
-        seg.view(f)[:] = packed[f]
-    seg.view("ticks")[0] = packed["ticks"]
+        seg.view(f)[:] = advanced[f]
+    seg.view("ticks")[0] = advanced["ticks"]
     counters, spans = _collect_worker_telemetry(tel)
     return shard_id, counters, spans
 
@@ -464,7 +465,7 @@ class ShardedFleetRuntime:
         ]
         # One engine per shard, built before the pool ever forks so that
         # workers inherit it through the registry; the coordinator's own
-        # copies never step — they only convert state formats.
+        # copies never step.
         self._engines = [
             FleetEngine(shard_models, shard_deltas, **self._engine_kwargs)
             for shard_models, shard_deltas in zip(
@@ -473,7 +474,8 @@ class ShardedFleetRuntime:
         ]
         for k, engine in enumerate(self._engines):
             _ENGINE_REGISTRY[(self._token, k)] = engine
-        self._packed = [engine.packed_state() for engine in self._engines]
+        self._committed = [engine.state_snapshot() for engine in self._engines]
+        self._dim_x_max = max(m.dim_x for m in self.models)
         self._finalizer = weakref.finalize(
             self, _cleanup_runtime, self._token, plan.n_shards, self._segments
         )
@@ -530,7 +532,7 @@ class ShardedFleetRuntime:
                 idx = self.plan.assignments[k]
                 served[t0:t1, idx, : widths[k]] = chunk_served
                 sent[t0:t1, idx] = chunk_sent
-                self._packed[k] = state
+                self._committed[k] = state
                 if self._tel.enabled:
                     self._merge_worker_telemetry(k, counters, spans)
         self.ticks += n_ticks
@@ -616,10 +618,10 @@ class ShardedFleetRuntime:
         a partial write into the segment's state block.
         """
         seg = self._segments[k]
-        packed = self._packed[k]
+        state = self._committed[k]
         for f in _STATE_FIELDS:
-            seg.view(f)[:] = packed[f]
-        seg.view("ticks")[0] = packed["ticks"]
+            seg.view(f)[:] = state[f]
+        seg.view("ticks")[0] = state["ticks"]
 
     def _read_state(self, k: int) -> dict:
         """Copy the advanced state out of the segment (the new commit)."""
@@ -744,54 +746,45 @@ class ShardedFleetRuntime:
     # Durable state: global snapshot/restore + checkpoint recovery
     # ------------------------------------------------------------------
     def state_snapshot(self) -> dict:
-        """Global-fleet-order snapshot, same shape as the batch engine's.
+        """Global-fleet-order snapshot in the batch engine's dense layout.
 
-        Each shard's committed packed state is expanded by its own
-        coordinator-side :class:`FleetEngine` (one packed↔list conversion
-        in the codebase, not two) and scattered back to global stream
-        order, so the result is interchangeable with
+        A gather: each shard's committed ``x`` / ``P`` lands in its rows
+        of ``(N, dim_x_max)`` / ``(N, dim_x_max, dim_x_max)`` arrays
+        zero-padded to the *global* ``dim_x_max``, so the result is
+        interchangeable with
         :meth:`~repro.core.manager.FleetEngine.state_snapshot` — a
         checkpoint written by one backend restores into the other.
         """
-        parts = []
-        for engine, packed in zip(self._engines, self._packed):
-            # Dirtying the coordinator's copy is harmless: every dispatch
-            # restores the shard's committed state first.
-            engine.restore_packed(packed)
-            parts.append(engine.state_snapshot())
-        snapshot: dict = {"ticks": self.ticks}
-        for name in ("x", "P"):
-            merged: list = [None] * self.n
-            for idx, part in zip(self.plan.assignments, parts):
-                for global_i, item in zip(idx, part[name]):
-                    merged[global_i] = item
-            snapshot[name] = merged
+        x = np.zeros((self.n, self._dim_x_max))
+        P = np.zeros((self.n, self._dim_x_max, self._dim_x_max))
+        for idx, part in zip(self.plan.assignments, self._committed):
+            d = part["x"].shape[1]
+            x[idx, :d] = part["x"]
+            P[idx, :d, :d] = part["P"]
+        snapshot = {"x": x, "P": P, "ticks": self.ticks}
         for name in _ACCOUNTING_FIELDS:
-            snapshot[name] = self.plan.merge([part[name] for part in parts])
+            snapshot[name] = self.plan.merge([part[name] for part in self._committed])
         return snapshot
 
     def restore_state(self, snapshot: dict) -> None:
-        """Resume every shard from a global-fleet-order snapshot.
+        """Resume every shard from a global-fleet-order dense snapshot.
 
         Accepts exactly what :meth:`state_snapshot` (or the batch
         engine's) returns — including one decoded from a durable
-        checkpoint.  Each shard's slice goes through its
-        :class:`FleetEngine`'s own ``restore_state`` and comes back as
-        the packed state the next dispatch resumes from.
+        checkpoint — and refuses anything else before a shard moves.  A
+        scatter: each shard's rows, cut to its own ``dim_x_max``, become
+        the committed state the next dispatch resumes from.
         """
-        _validated_state(snapshot, self.n)
+        _validated_state(snapshot, self.n, self._dim_x_max)
+        x, P, ticks = snapshot["x"], snapshot["P"], int(snapshot["ticks"])
+        accounting = _accounting_arrays(snapshot, self.n)
         for k, (engine, idx) in enumerate(zip(self._engines, self.plan.assignments)):
-            part = {
-                name: np.asarray(snapshot[name])[idx]
-                for name in _ACCOUNTING_FIELDS
-                if name in snapshot  # pre-censoring checkpoints omit a counter
-            }
-            for name in ("x", "P"):
-                part[name] = [snapshot[name][i] for i in idx]
-            engine.restore_state({**part, "ticks": snapshot["ticks"]})
-            self._packed[k] = engine.packed_state()
-        self.ticks = int(snapshot["ticks"])
-        self.messages = np.asarray(snapshot["messages"], dtype=int).copy()
+            d = engine.filters.dim_x_max
+            part = {name: acc[idx] for name, acc in accounting.items()}
+            part.update(x=x[idx, :d], P=P[idx, :d, :d], ticks=ticks)
+            self._committed[k] = part
+        self.ticks = ticks
+        self.messages = accounting["messages"]
 
     def checkpoint(self, store, *, meta: dict | None = None):
         """Commit the runtime's merged state as one durable generation.

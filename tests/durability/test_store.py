@@ -74,6 +74,22 @@ class TestSaveAndRead:
         with pytest.raises(ConfigurationError):
             _store(tmp_path, retain=0)
 
+    def test_fractional_retain_rejected_up_front(self, tmp_path):
+        # Accepted, it would commit every generation and then fail in
+        # pruning, so retention would never run.
+        with pytest.raises(ConfigurationError, match="retain"):
+            _store(tmp_path, retain=2.5)
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("tick", [float("nan"), float("inf"), 2.5, "3", None])
+    def test_bad_tick_rejected_before_anything_is_written(self, tmp_path, tick):
+        store = _store(tmp_path)
+        store.save(_payload(0), tick=1)
+        with pytest.raises(CheckpointError, match="tick"):
+            store.save(_payload(1), tick=tick)
+        assert [p.name for p in store.root.iterdir()] == ["gen-00000001"]
+        assert store.save(_payload(2), tick=2).generation == 2
+
 
 class TestVerification:
     def test_bit_flip_detected(self, tmp_path):

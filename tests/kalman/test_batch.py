@@ -151,32 +151,6 @@ class TestCounters:
         np.testing.assert_array_equal(batch.n_updates, [1, 1, 0, 0])
 
 
-class TestStateInjection:
-    def test_set_state_roundtrip(self):
-        batch = BatchKalmanFilter(_mixed_models())
-        x = np.array([3.0, -1.5])
-        P = np.array([[2.0, 0.3], [0.3, 1.0]])
-        batch.set_state(1, x, P)
-        np.testing.assert_array_equal(batch.x_of(1), x)
-        np.testing.assert_array_equal(batch.P_of(1), P)
-        # Other members untouched.
-        np.testing.assert_array_equal(batch.x_of(0), np.zeros(1))
-
-    def test_set_state_symmetrizes(self):
-        batch = BatchKalmanFilter(_mixed_models())
-        P = np.array([[2.0, 0.4], [0.0, 1.0]])  # asymmetric on purpose
-        batch.set_state(1, np.zeros(2), P)
-        got = batch.P_of(1)
-        np.testing.assert_array_equal(got, got.T)
-
-    def test_set_state_shape_checks(self):
-        batch = BatchKalmanFilter(_mixed_models())
-        with pytest.raises(DimensionError):
-            batch.set_state(1, np.zeros(3), np.eye(2))
-        with pytest.raises(DimensionError):
-            batch.set_state(1, np.zeros(2), np.eye(3))
-
-
 class TestViews:
     def test_views_are_nan_padded_to_dim_z_max(self):
         batch = BatchKalmanFilter(_mixed_models())
