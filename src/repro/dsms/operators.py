@@ -12,6 +12,8 @@ differences).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
+from operator import attrgetter
 from typing import Callable
 
 from repro.dsms.aggregates import Aggregate, make_aggregate
@@ -29,6 +31,12 @@ __all__ = [
     "replay_aggregate",
     "MergeJoin",
 ]
+
+_value = attrgetter("value")
+_bound = attrgetter("bound")
+#: ``replay_aggregate`` only asks an aggregate for ``of``, never mutates
+#: it, so one instance per name serves every answer.
+_named_aggregate = lru_cache(maxsize=128)(make_aggregate)
 
 
 class Operator(ABC):
@@ -213,9 +221,9 @@ def replay_aggregate(members, aggregate: str | Aggregate) -> StreamTuple:
     """
     if len(members) == 0:
         raise QueryError("aggregate of an empty member list")
-    agg = make_aggregate(aggregate) if isinstance(aggregate, str) else aggregate
-    values = [member.value for member in members]
-    bounds = [member.bound for member in members]
+    agg = _named_aggregate(aggregate) if isinstance(aggregate, str) else aggregate
+    values = list(map(_value, members))
+    bounds = list(map(_bound, members))
     last = members[-1]
     return StreamTuple(
         t=last.t,

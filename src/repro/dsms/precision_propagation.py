@@ -21,6 +21,18 @@ Rules (inputs with half-widths b_1..b_n):
 * a·x + b  → |a| · b_x
 * x ± y    → b_x + b_y
 * x · y    → |x|·b_y + |y|·b_x + b_x·b_y
+
+Every served aggregate answer makes one of these calls, so the rules an
+answer uses (mean, sum, min/max, median/quantile, count) are plain Python
+over the member list: a numpy round trip (``asarray`` + ``any`` + a
+reduction) cost more than the arithmetic on a 64-member window.  They stay
+bit for bit the numpy formulas they replaced: the extremes are the exact
+builtin :func:`max`, and the sums are :func:`_pairwise_sum`, a copy of
+numpy's pairwise float summation (pinned against ``np.sum`` by
+``tests/dsms/test_propagation_bitwise.py``).  A member bound that is
+negative, NaN, nested or not a number is refused with
+:class:`~repro.errors.QueryError`.  :func:`variance_bound`, which no
+served query shape uses, keeps numpy.
 """
 
 from __future__ import annotations
@@ -43,34 +55,98 @@ __all__ = [
 ]
 
 
-def _validated(bounds: list[float]) -> np.ndarray:
-    arr = np.asarray(bounds, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
+def _coerced(bounds: list) -> list[float]:
+    """The slow path of :func:`_validated`: convert, then check, each entry."""
+    out = []
+    for b in bounds:
+        if hasattr(b, "__iter__"):  # a nested list, an array row, a string
+            raise QueryError(f"bounds must be a flat list of numbers, got {b!r}")
+        try:
+            b = float(b)
+        except (TypeError, ValueError) as exc:
+            raise QueryError(f"bound {b!r} is not a number") from exc
+        if not b >= 0.0:
+            raise QueryError(f"bounds must be non-negative and not NaN, got {b!r}")
+        out.append(b)
+    return out
+
+
+def _validated(bounds: list[float]) -> list[float]:
+    """``bounds`` as a non-empty list of floats >= 0, checked in one pass."""
+    try:
+        arr = list(bounds)
+    except TypeError as exc:
+        raise QueryError("bounds must be a non-empty 1-D list") from exc
+    if not arr:
         raise QueryError("bounds must be a non-empty 1-D list")
-    if np.any(arr < 0):
-        raise QueryError("bounds must be non-negative")
+    # NaN fails ``>=`` too, so this one test refuses it with the negatives.
+    for b in arr:
+        if type(b) is not float or not b >= 0.0:
+            return _coerced(arr)
     return arr
+
+
+def _pairwise(xs: list[float], lo: int, n: int) -> float:
+    """numpy's ``pairwise_sum`` over ``xs[lo:lo + n]``, operation for operation."""
+    if n < 8:
+        res = 0.0
+        for x in xs[lo:lo + n]:
+            res += x
+        return res
+    if n <= 128:
+        r0, r1, r2, r3, r4, r5, r6, r7 = xs[lo:lo + 8]
+        end = lo + n - n % 8
+        it = iter(xs[lo + 8:end])
+        for a0, a1, a2, a3, a4, a5, a6, a7 in zip(it, it, it, it, it, it, it, it):
+            r0 += a0
+            r1 += a1
+            r2 += a2
+            r3 += a3
+            r4 += a4
+            r5 += a5
+            r6 += a6
+            r7 += a7
+        res = ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        for x in xs[end:lo + n]:
+            res += x
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(xs, lo, n2) + _pairwise(xs, lo + n2, n - n2)
+
+
+def _pairwise_sum(xs: list[float]) -> float:
+    """``float(np.sum(xs))``, bit for bit, without the array.
+
+    numpy reduces a contiguous float64 array by eight-way pairwise
+    summation onto the identity ``0.0``: fewer than 8 terms add in order,
+    up to 128 go to eight strided accumulators combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` with the tail added in order,
+    and longer runs split at half the length rounded down to a multiple
+    of 8.  The ``0.0`` start is why an all −0.0 list sums to +0.0.
+    """
+    return 0.0 + _pairwise(xs, 0, len(xs))
 
 
 def mean_bound(bounds: list[float]) -> float:
     """Half-width of a windowed mean."""
     arr = _validated(bounds)
-    return float(np.sum(arr) / arr.size)
+    return _pairwise_sum(arr) / len(arr)
 
 
 def sum_bound(bounds: list[float]) -> float:
     """Half-width of a windowed sum."""
-    return float(np.sum(_validated(bounds)))
+    return _pairwise_sum(_validated(bounds))
 
 
 def extreme_bound(bounds: list[float]) -> float:
     """Half-width of a windowed min or max."""
-    return float(np.max(_validated(bounds)))
+    return max(_validated(bounds))
 
 
 def quantile_bound(bounds: list[float]) -> float:
     """Half-width of any windowed quantile (incl. median)."""
-    return float(np.max(_validated(bounds)))
+    return max(_validated(bounds))
 
 
 def count_bound(bounds: list[float]) -> float:
@@ -86,7 +162,7 @@ def variance_bound(bounds: list[float], values: list[float]) -> float:
     changes v by at most Σ_i (2/n)·|x_i − x̄|·b_i + (Σ b_i / n)·(2·max b +
     Σ b / n) — the first-order term plus a conservative quadratic remainder.
     """
-    arr = _validated(bounds)
+    arr = np.asarray(_validated(bounds))
     vals = np.asarray(values, dtype=float)
     if vals.shape != arr.shape:
         raise QueryError("values and bounds must align")

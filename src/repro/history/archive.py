@@ -174,8 +174,19 @@ class ArchiveWriter:
         """Archive every tuple a :class:`ServingStore` ring evicts.
 
         Installs this writer as the store's ``on_evict`` hook; evicted
-        tuples keep the bound they were served with.
+        tuples keep the bound they were served with.  A store holding a
+        stream this writer does not know is refused up front, its hook
+        untouched: that stream's first eviction could not be archived.
+
+        Raises:
+            HistoryError: Naming the store's streams this writer lacks.
         """
+        missing = sorted(set(store.stream_ids()) - self._keys.keys())
+        if missing:
+            raise HistoryError(
+                f"store streams {missing} are not registered with this "
+                f"archive writer; known: {sorted(self.bounds)}"
+            )
         store.on_evict = self.ingest_tuple
 
     def drain_store(self, store) -> None:
@@ -194,7 +205,16 @@ class ArchiveWriter:
 
     # -- committing -----------------------------------------------------
     def flush(self) -> int:
-        """Commit the buffered rows and their manifest; returns new rows."""
+        """Commit the buffered rows and their manifest; returns new rows.
+
+        A failed flush commits nothing and keeps every row it took:
+        they go back to the buffer, ahead of anything buffered since,
+        so :attr:`pending` is unchanged and a retry commits them.
+
+        Raises:
+            HistoryError: When SQLite refuses the transaction (a locked
+                database, a full disk, a read-only connection).
+        """
         if self._closed:
             raise HistoryError("archive writer is closed")
         if not self._buffer:
@@ -235,6 +255,7 @@ class ArchiveWriter:
                         (batch, inserted, digest.hexdigest()),
                     )
         except sqlite3.Error as exc:
+            self._buffer[:0] = rows
             raise HistoryError(f"archive flush failed: {exc}") from exc
         self.rows_written += inserted
         self.flushes += 1

@@ -19,6 +19,7 @@ combination, and labels the answer's :attr:`ServingResponse.provenance`
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -35,6 +36,20 @@ __all__ = [
     "Query",
     "ServingResponse",
 ]
+
+
+def require_count(name: str, value) -> None:
+    """Refuse, as a :class:`ServingError`, a ``name`` that is not an integer >= 1.
+
+    ``bool`` is refused too.  A size or limit that merely compares — ``2.5``,
+    NaN — would pass ``value < 1`` and then fail later, or never trip at all.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < 1
+    ):
+        raise ServingError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,8 +71,7 @@ class RangeQuery:
     kind = "range"
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ServingError(f"range size must be >= 1, got {self.size!r}")
+        require_count("range size", self.size)
 
 
 def _check_aggregate(name: str) -> None:
@@ -87,8 +101,7 @@ class AggregateQuery:
     kind = "aggregate"
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ServingError(f"window size must be >= 1, got {self.size!r}")
+        require_count("window size", self.size)
         _check_aggregate(self.aggregate)
 
 

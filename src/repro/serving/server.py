@@ -66,6 +66,7 @@ from repro.serving.requests import (
     Query,
     RangeQuery,
     ServingResponse,
+    require_count,
 )
 from repro.serving.store import ServingStore
 
@@ -99,18 +100,12 @@ class AdmissionConfig:
     cache_capacity: int = 1024
 
     def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ServingError(
-                f"max_inflight must be >= 1, got {self.max_inflight!r}"
-            )
+        require_count("max_inflight", self.max_inflight)
         if not (self.drift_per_tick >= 0 and isfinite(self.drift_per_tick)):
             raise ServingError(
                 f"drift_per_tick must be finite and >= 0, got {self.drift_per_tick!r}"
             )
-        if self.cache_capacity < 1:
-            raise ServingError(
-                f"cache_capacity must be >= 1, got {self.cache_capacity!r}"
-            )
+        require_count("cache_capacity", self.cache_capacity)
 
 
 class QueryServer:

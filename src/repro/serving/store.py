@@ -30,6 +30,7 @@ from repro.dsms.operators import replay_aggregate
 from repro.dsms.precision_assignment import QueryRequirement, assign_stream_bounds
 from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import ServingError
+from repro.serving.requests import require_count
 
 __all__ = ["ServingStore"]
 
@@ -47,12 +48,14 @@ class ServingStore:
             queries can look back at most this far.
         server: Optional :class:`~repro.core.server.StreamServer` to pull
             served values from on :meth:`ingest_tick`.
-        on_evict: Optional hook called with each tuple a full ring
-            evicts, *after* the replacing tuple is in.  This is how
-            history survives ring rollover: an
-            :class:`~repro.history.ArchiveWriter` attached here archives
-            aging tuples instead of letting them drop silently.  The
-            hook must not mutate the store.
+        on_evict: Optional hook called with each tuple a full ring is
+            about to evict, *before* the ring drops it and takes the
+            replacing tuple.  This is how history survives ring
+            rollover: an :class:`~repro.history.ArchiveWriter` attached
+            here archives aging tuples instead of letting them drop
+            silently.  A hook that raises aborts the ingest with the
+            ring and :attr:`version` as they were, so a refused
+            eviction loses nothing.  The hook must not mutate the store.
     """
 
     def __init__(
@@ -70,12 +73,11 @@ class ServingStore:
                 raise ServingError(
                     f"bound for {sid!r} must be finite and >= 0, got {delta!r}"
                 )
-        if history < 1:
-            raise ServingError(f"history must be >= 1, got {history!r}")
+        require_count("history", history)
         self.bounds = dict(bounds)
-        self.history = history
+        self.history = int(history)
         self._rings: dict[str, deque[StreamTuple]] = {
-            sid: deque(maxlen=history) for sid in bounds
+            sid: deque(maxlen=self.history) for sid in bounds
         }
         #: Monotone ingest-tick counter; the staleness clock admission
         #: control widens degraded answers against.
@@ -133,8 +135,9 @@ class ServingStore:
         t = float(t)
         value = float(value)
         # A NaN ``t`` slips past the monotonicity test below (every NaN
-        # comparison is False) and unsorts the ring; a non-finite value is
-        # only refused by the archive's eviction hook, after the ring drop.
+        # comparison is False) and unsorts the ring; a non-finite value
+        # would only be refused by the archive's eviction hook once it
+        # ages out, and would then block every later ingest of the stream.
         if not (isfinite(t) and isfinite(value)):
             raise ServingError(
                 f"non-finite ingest for stream {stream_id!r}: t={t!r}, value={value!r}"
@@ -146,11 +149,10 @@ class ServingStore:
                 "(the ring must stay a sorted, contiguous suffix of the "
                 "served history)"
             )
-        evicted = ring[0] if len(ring) == ring.maxlen else None
+        if len(ring) == ring.maxlen and self.on_evict is not None:
+            self.on_evict(ring[0])  # before the drop: a raise loses nothing
         ring.append(StreamTuple(t, stream_id, value, delta))
         self.version += 1
-        if evicted is not None and self.on_evict is not None:
-            self.on_evict(evicted)
 
     def advance_tick(self) -> int:
         """Advance the staleness clock by one ingest tick; returns it."""
@@ -255,9 +257,7 @@ class ServingStore:
         """
         if size < 1:
             raise ServingError(f"range size must be >= 1, got {size!r}")
-        ring = self._ring(stream_id)
-        n = min(size, len(ring))
-        return tuple(ring[i] for i in range(len(ring) - n, len(ring)))
+        return tuple(islice(reversed(self._ring(stream_id)), size))[::-1]
 
     def window_aggregate(
         self, stream_id: str, aggregate: str, size: int, emit_partial: bool = False

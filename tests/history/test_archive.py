@@ -387,6 +387,30 @@ class TestNoTupleLost:
         assert ring.history_len("s") == 4
 
 
+class TestFailedFlush:
+    """A flush SQLite refuses keeps its rows for the retry."""
+
+    def test_rows_survive_a_refused_flush(self, db):
+        writer = ArchiveWriter(db, {"s": 0.5, "u": 0.25}, batch_size=100)
+        _fill(writer, n=3)
+        writer._conn.execute("PRAGMA query_only=1")
+        with pytest.raises(HistoryError, match="archive flush failed"):
+            writer.flush()
+        assert writer.pending == 3
+        # Buffered after the failure: a fresh row, and a re-offer of t=0
+        # with another value, which must lose to the original offer.
+        writer.ingest("u", 0.0, 9.0)
+        writer.ingest("s", 0.0, 99.0)
+        writer._conn.execute("PRAGMA query_only=0")
+        assert writer.flush() == 4
+        assert writer.pending == 0
+        writer.close()
+        with HistoryStore(db) as store:
+            assert store.row_count() == 4
+            assert store.audit() == 4
+            assert [tup.value for tup in store.range_query("s", 0.0, 9.0)] == [0.0, 0.5, 1.0]
+
+
 class TestTelemetry:
     def test_flush_event_and_rows_metric(self, db):
         tel = Telemetry()

@@ -3,8 +3,9 @@
 A hypothesis state machine drives a :class:`ServingStore` whose
 evictions feed an :class:`ArchiveWriter`, a :class:`HistoryStore` over
 the same file and a :class:`QueryServer` over both, through random
-ticks (with cold streams), flushes, re-offered tuples, drains and
-close/reopen cycles.  The model is a dict of lists: what was served,
+ticks (with cold streams), flushes, re-offered tuples, drains,
+close/reopen cycles, a closed writer that refuses evictions, and bursts
+answered under overload.  The model is a dict of lists: what was served,
 what each ring holds, what the writer has buffered and what the archive
 has committed.  After every step:
 
@@ -13,7 +14,13 @@ has committed.  After every step:
 * every answer is bitwise the model's slice (aggregates replayed
   through ``replay_aggregate``), with the provenance the residency
   boundary implies;
-* ``audit()`` passes and covers exactly the archived rows.
+* ``audit()`` passes and covers exactly the archived rows;
+* while the writer is closed, an ingest that would evict raises and
+  leaves ring ∪ archive ∪ buffer exactly as the model has it;
+* in an overloaded burst, a degraded answer is flagged and is the
+  server's last fresh answer with every bound widened by exactly
+  drift × δ × staleness (never below the fresh bound), and every
+  undegraded answer is bitwise the model's.
 
 Only public API is used.  Two facts of the system are modelled, not
 avoided: SQLite ``REAL`` stores ``-0.0`` as ``0.0`` (so the archive's
@@ -29,6 +36,7 @@ import shutil
 import struct
 import tempfile
 from collections import deque
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import settings
@@ -42,9 +50,10 @@ from hypothesis.stateful import (
 
 from repro.dsms import replay_aggregate
 from repro.dsms.tuples import StreamTuple
-from repro.errors import ServingError
+from repro.errors import HistoryError, ServingError
 from repro.history import ArchiveWriter, HistoryStore
 from repro.serving import (
+    AdmissionConfig,
     AggregateQuery,
     HistoryAggregateQuery,
     HistoryRangeQuery,
@@ -83,7 +92,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.dir = Path(tempfile.mkdtemp(prefix="archive-machine-"))
         self.path = self.dir / "archive.sqlite"
         self.store = ServingStore(BOUNDS, history=RING)
-        self.writer = self.history = self.server = None
+        self.writer = self.history = self.server = self.busy = None
         self.reopens = 0
         self._open()
         # The model.
@@ -103,6 +112,13 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.writer.attach_evictions(self.store)
         self.history = HistoryStore(self.path)
         self.server = QueryServer(self.store, history=self.history)
+        # Overloaded by any burst of two or more requests.
+        self.busy = QueryServer(
+            self.store, admission=AdmissionConfig(max_inflight=1), history=self.history
+        )
+        # The busy server's last fresh answer per request: (tuples, tick).
+        self.busy_fresh: dict = {}
+        self.closed = False
 
     def teardown(self):
         self.history.close()
@@ -135,10 +151,19 @@ class ArchiveMachine(RuleBasedStateMachine):
         for sid, value in zip(SIDS, tick):
             if value is None:  # the stream is still cold at this tick
                 continue
+            ring = self.rings[sid]
+            if self.closed and len(ring) == RING:
+                # The eviction has nowhere to go: refused, nothing moves.
+                version = self.store.version
+                try:
+                    self.store.ingest(sid, t, value)
+                except HistoryError:
+                    assert self.store.version == version
+                    continue
+                raise AssertionError("an eviction into a closed writer was accepted")
             self.store.ingest(sid, t, value)
             tup = StreamTuple(t, sid, value, BOUNDS[sid])
             self.served[sid].append(tup)
-            ring = self.rings[sid]
             if len(ring) == RING:
                 self._offer(ring[0])
             ring.append(tup)
@@ -147,12 +172,15 @@ class ArchiveMachine(RuleBasedStateMachine):
     def advance_tick(self):
         self.store.advance_tick()
 
+    @precondition(lambda self: not self.closed)
     @rule()
     def flush(self):
         self.writer.flush()
         self._commit()
 
-    @precondition(lambda self: any(self.archive.values()) or self.pending)
+    @precondition(
+        lambda self: not self.closed and (any(self.archive.values()) or self.pending)
+    )
     @rule(data=st.data())
     def reoffer(self, data):
         offered = [tup for rows in self.archive.values() for tup in rows.values()]
@@ -160,6 +188,7 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.writer.ingest_tuple(tup)
         self._offer(tup)
 
+    @precondition(lambda self: not self.closed)
     @rule()
     def drain(self):
         self.writer.drain_store(self.store)
@@ -176,6 +205,69 @@ class ArchiveMachine(RuleBasedStateMachine):
         self.reopens += 1
         self._open()
         assert self.history.bounds == self.writer.bounds
+
+    @precondition(lambda self: not self.closed)
+    @rule()
+    def close_writer(self):
+        self.writer.close()
+        self._commit()
+        self.closed = True
+
+    @rule(burst=st.lists(
+        st.tuples(streams, st.integers(1, RING), st.sampled_from([None] + AGGREGATES)),
+        min_size=2, max_size=5,
+    ), ticks=st.integers(0, 2))
+    def overloaded_burst(self, burst, ticks):
+        requests = [
+            RangeQuery(sid, size) if agg is None else AggregateQuery(sid, agg, size)
+            for sid, size, agg in burst
+        ]
+        for request in requests:  # one at a time: under the limit, fresh
+            self._answer_at_once([request])
+        for _ in range(ticks):
+            self.store.advance_tick()
+        # All at once: past max_inflight=1, so served stale from the cache.
+        self._answer_at_once(requests)
+
+    def _answer_at_once(self, requests):
+        async def answer_all():
+            return await asyncio.gather(
+                *(self.busy.handle(r) for r in requests), return_exceptions=True
+            )
+
+        tick = self.store.tick
+        for request, response in zip(requests, asyncio.run(answer_all())):
+            members = list(self.rings[request.stream_id])[-request.size:]
+            if isinstance(request, RangeQuery):
+                want = members
+            else:
+                full = len(members) == request.size
+                want = [replay_aggregate(members, request.aggregate)] if full else []
+            if isinstance(response, ServingError):
+                assert not want, f"{request!r} refused with members to answer from"
+                continue
+            if isinstance(response, BaseException):
+                raise response
+            assert response.provenance == "live"
+            if not response.degraded:
+                assert response.reason is None and response.staleness_ticks == 0
+                assert _bits(response.tuples) == _bits(want)
+                self.busy_fresh[request] = (response.tuples, tick)
+                continue
+            assert len(requests) > 1 and response.reason == "overload"
+            cached, at_tick = self.busy_fresh[request]
+            assert response.staleness_ticks == tick - at_tick
+            widen = AdmissionConfig().drift_per_tick * BOUNDS[request.stream_id] * (
+                tick - at_tick
+            )
+            assert _bits(response.tuples) == _bits(
+                replace(tup, bound=tup.bound + widen) if widen > 0.0 else tup
+                for tup in cached
+            )
+            if want:  # the fresh answer, had there been capacity for it
+                assert min(tup.bound for tup in response.tuples) >= max(
+                    tup.bound for tup in want
+                )
 
     @rule(sid=streams)
     def point(self, sid):

@@ -27,6 +27,17 @@ Defects pinned here so they cannot regress:
    tuple then reached the archive's eviction hook only after the ring
    had dropped it, and was lost from ring ∪ archive.  Both now refuse
    a non-finite value at construction with a ``ServingError``.
+8. Sizes and admission limits took any value that compared: a fractional
+   ``RangeQuery`` / ``AggregateQuery`` size was accepted and then raised a
+   raw ``TypeError`` inside ``handle``; a string size raised one at
+   construction; a NaN ``max_inflight`` disabled overload and a NaN
+   ``cache_capacity`` disabled eviction; a fractional ``history`` raised
+   from ``deque``.  Each must now be an integer >= 1 (``bool`` refused),
+   else a ``ServingError`` at construction.
+9. An eviction the hook refused was lost: the ring had already dropped
+   the old tuple (and moved ``version``) before ``on_evict`` raised.  The
+   hook now sees the tuple first, and ``attach_evictions`` refuses a
+   store with streams its writer does not know.
 """
 
 import asyncio
@@ -34,7 +45,8 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.errors import ServingError
+from repro.errors import HistoryError, ServingError
+from repro.history import ArchiveWriter
 from repro.obs import Telemetry
 from repro.serving import (
     AdmissionConfig,
@@ -162,8 +174,6 @@ class TestNonFiniteBound:
         # Pre-fix the store took δ=inf; the first eviction then raised in
         # the archive's hook after the ring had dropped t=0, which ended
         # up in neither.  Now the store is never built.
-        from repro.history import ArchiveWriter
-
         with ArchiveWriter(tmp_path / "a.sqlite", {"s": 0.5}) as writer:
             with pytest.raises(ServingError, match="must be finite"):
                 ServingStore({"s": float("inf")}, history=1,
@@ -379,3 +389,107 @@ class TestTuplesBetweenBisects:
         assert store.tuples_between("s0", 0.0, 10.0) == ()
         with pytest.raises(ServingError, match="unknown stream"):
             store.tuples_between("nope", 0.0, 10.0)
+
+
+class TestIntegerSizes:
+    """Sizes and limits are integers >= 1; anything else is refused up front."""
+
+    def test_fractional_range_size_refused_before_admission(self):
+        with pytest.raises(ServingError, match="integer"):
+            RangeQuery("s0", 2.5)
+
+    def test_fractional_window_size_refused_before_admission(self):
+        with pytest.raises(ServingError, match="integer"):
+            AggregateQuery("s0", "mean", 2.5)
+
+    def test_string_range_size_is_a_serving_error(self):
+        with pytest.raises(ServingError, match="integer"):
+            RangeQuery("s0", "3")
+
+    @pytest.mark.parametrize("field", ["max_inflight", "cache_capacity"])
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, True, "4", 0])
+    def test_admission_limits_must_be_integers(self, field, bad):
+        with pytest.raises(ServingError, match=field):
+            AdmissionConfig(**{field: bad})
+
+    def test_nan_cache_capacity_can_no_longer_disable_eviction(self):
+        # Pre-fix ``len(cache) > nan`` was never true: unbounded growth.
+        with pytest.raises(ServingError, match="cache_capacity"):
+            QueryServer(_store(), admission=AdmissionConfig(cache_capacity=float("nan")))
+
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), True, "8", None])
+    def test_history_must_be_an_integer(self, bad):
+        with pytest.raises(ServingError, match="history"):
+            ServingStore({"s0": 0.5}, history=bad)
+
+    def test_numpy_integers_are_integers(self):
+        store = _store()
+        server = QueryServer(
+            store, admission=AdmissionConfig(max_inflight=np.int64(2), cache_capacity=np.int32(8))
+        )
+        assert len(_handle(server, RangeQuery("s0", np.int64(3))).tuples) == 3
+        assert _handle(server, AggregateQuery("s0", "max", np.int16(4))).bound == 0.5
+        assert ServingStore({"s0": 0.5}, history=np.int64(4)).history == 4
+
+
+class TestRefusedEvictionKeepsTheTuple:
+    """An eviction the archive refuses must leave ring and version as they were."""
+
+    @staticmethod
+    def _full_store(writer=None, bounds=None):
+        store = ServingStore(bounds or {"s": 0.5}, history=2)
+        if writer is not None:
+            writer.attach_evictions(store)
+        store.ingest("s", 0.0, 1.0)
+        store.ingest("s", 1.0, 2.0)
+        return store
+
+    def test_attach_refuses_a_store_with_unknown_streams(self, tmp_path):
+        with ArchiveWriter(tmp_path / "a.sqlite", {"s": 0.5}) as writer:
+            store = ServingStore({"s": 0.5, "x": 0.5, "y": 1.0}, history=2)
+            with pytest.raises(HistoryError, match=r"\['x', 'y'\]"):
+                writer.attach_evictions(store)
+            assert store.on_evict is None
+
+    def test_attach_accepts_a_store_with_fewer_streams(self, tmp_path):
+        with ArchiveWriter(tmp_path / "a.sqlite", {"s": 0.5, "t": 0.5}) as writer:
+            store = self._full_store(writer)
+            store.ingest("s", 2.0, 3.0)
+            assert writer.pending == 1
+
+    def test_an_unknown_stream_eviction_keeps_ring_and_version(self, tmp_path):
+        # Reaching the writer without attach_evictions' check: the hook
+        # raises on the first eviction, and the ring must not have moved.
+        with ArchiveWriter(tmp_path / "a.sqlite", {"other": 0.5}) as writer:
+            store = ServingStore({"s": 0.5}, history=2, on_evict=writer.ingest_tuple)
+            store.ingest("s", 0.0, 1.0)
+            store.ingest("s", 1.0, 2.0)
+            version = store.version
+            with pytest.raises(HistoryError, match="unknown stream"):
+                store.ingest("s", 2.0, 3.0)
+            assert store.version == version
+            assert [tup.t for tup in store.range_query("s", 2)] == [0.0, 1.0]
+
+    def test_an_eviction_into_a_closed_writer_keeps_the_tuple(self, tmp_path):
+        writer = ArchiveWriter(tmp_path / "a.sqlite", {"s": 0.5})
+        store = self._full_store(writer)
+        writer.close()
+        version = store.version
+        with pytest.raises(HistoryError, match="closed"):
+            store.ingest("s", 2.0, 3.0)
+        assert store.version == version
+        assert [tup.t for tup in store.range_query("s", 2)] == [0.0, 1.0]
+        # Reattached to a live writer, the same ingest now archives t=0.
+        with ArchiveWriter(tmp_path / "a.sqlite", {"s": 0.5}) as again:
+            again.attach_evictions(store)
+            store.ingest("s", 2.0, 3.0)
+            assert again.pending == 1
+        assert [tup.t for tup in store.range_query("s", 2)] == [1.0, 2.0]
+
+    def test_the_hook_sees_the_ring_before_the_eviction(self):
+        seen = []
+        store = ServingStore({"s": 0.5}, history=2)
+        store.on_evict = lambda tup: seen.append((tup.t, store.oldest_t("s")))
+        for t in range(3):
+            store.ingest("s", float(t), 0.0)
+        assert seen == [(0.0, 0.0)]
