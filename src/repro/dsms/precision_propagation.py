@@ -30,12 +30,15 @@ bit for bit the numpy formulas they replaced: the extremes are the exact
 builtin :func:`max`, and the sums are :func:`_pairwise_sum`, a copy of
 numpy's pairwise float summation (pinned against ``np.sum`` by
 ``tests/dsms/test_propagation_bitwise.py``).  A member bound that is
-negative, NaN, nested or not a number is refused with
+negative, NaN, nested or not a number, and a member collection that is
+not a sequence or an ndarray (a set, a generator), is refused with
 :class:`~repro.errors.QueryError`.  :func:`variance_bound`, which no
 served query shape uses, keeps numpy.
 """
 
 from __future__ import annotations
+
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -72,10 +75,19 @@ def _coerced(bounds: list) -> list[float]:
 
 
 def _validated(bounds: list[float]) -> list[float]:
-    """``bounds`` as a non-empty list of floats >= 0, checked in one pass."""
+    """``bounds`` as a non-empty list of floats >= 0, checked in one pass.
+
+    Only a sequence or an ndarray is read: a set sums in hash order and a
+    generator in whatever order it yields, so their bits would be tied to
+    no member order (``np.asarray`` refused both).
+    """
+    if type(bounds) is not list and not isinstance(bounds, (Sequence, np.ndarray)):
+        raise QueryError(
+            f"bounds must be an ordered sequence, got {type(bounds).__name__}"
+        )
     try:
         arr = list(bounds)
-    except TypeError as exc:
+    except TypeError as exc:  # a 0-d array
         raise QueryError("bounds must be a non-empty 1-D list") from exc
     if not arr:
         raise QueryError("bounds must be a non-empty 1-D list")

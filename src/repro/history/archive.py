@@ -1,16 +1,15 @@
 """The archive ingest path: batched, transactional, idempotent.
 
 An :class:`ArchiveWriter` moves served tuples into the SQLite archive
-from any of three feeds:
+from two feeds:
 
-* **bulk** — :meth:`archive_fleet` walks a ``(T, N, dim)`` served trace
-  from a :class:`~repro.core.manager.FleetEngine` run (NaN warm-up rows
-  skip, exactly as :meth:`ServingStore.load_fleet_history` skips them);
-  :meth:`for_fleet_result` builds the writer straight from a
-  :class:`~repro.core.manager.FleetResult`'s allocated δ.
-* **live** — :meth:`on_tick` returns a callback for
-  ``FleetEngine.run(values, on_tick=...)`` that ingests every warm
-  stream's served value as it is produced.
+* **fleet traces** — :meth:`archive_fleet` walks a ``(T, N, dim)``
+  served trace from a :class:`~repro.core.manager.FleetEngine` run (NaN
+  warm-up rows skip, exactly as :meth:`ServingStore.load_fleet_history`
+  skips them).  The same call archives one tick live:
+  ``engine.run(values, on_tick=lambda t, s, _: w.archive_fleet(sids,
+  s[None], t0 + t))``.  A fleet's allocated δ seed the writer as
+  ``ArchiveWriter(path, result.stream_bounds())``.
 * **evictions** — :meth:`attach_evictions` hooks a
   :class:`~repro.serving.store.ServingStore`'s ``on_evict`` so tuples
   aging out of the hot ring land in the archive instead of vanishing;
@@ -19,8 +18,8 @@ from any of three feeds:
 
 Rows buffer in memory and commit in one transaction per batch
 (``INSERT OR IGNORE`` — re-offering a tuple the archive already holds
-is a no-op, which lets the live and eviction feeds overlap freely),
-closed by the batch's SHA-256 manifest of the rows it inserted.
+is a no-op, which lets a trace feed and the eviction feed overlap
+freely), closed by the batch's SHA-256 manifest of the rows it inserted.
 """
 
 from __future__ import annotations
@@ -99,17 +98,6 @@ class ArchiveWriter:
         self.flushes = 0
         self._closed = False
 
-    @classmethod
-    def for_fleet_result(cls, path: str | Path, result, **kwargs) -> "ArchiveWriter":
-        """A writer whose δ are a fleet run's allocated per-stream bounds.
-
-        ``result`` is a :class:`~repro.core.manager.FleetResult`; its
-        :meth:`~repro.core.manager.FleetResult.stream_bounds` is the
-        allocator → archive hand-off, exactly as it is the allocator →
-        serving hand-off.
-        """
-        return cls(path, result.stream_bounds(), **kwargs)
-
     # -- ingest ---------------------------------------------------------
     def ingest(
         self, stream_id: str, t: float, value: float, bound: float | None = None
@@ -157,18 +145,6 @@ class ArchiveWriter:
         for tick in served_ticks(stream_ids, served, t0, component, HistoryError):
             for sid, t, v in tick:
                 self.ingest(sid, t, v)
-
-    def on_tick(
-        self, stream_ids: list[str], t0: float = 0.0, component: int = 0
-    ):
-        """A live-feed callback for ``FleetEngine.run(values, on_tick=...)``."""
-
-        def feed(t, served_t, sent_t) -> None:
-            # One tick of the bulk walk: same shape/component checks.
-            row = np.asarray(served_t)[None]
-            self.archive_fleet(stream_ids, row, t0 + t, component)
-
-        return feed
 
     def attach_evictions(self, store) -> None:
         """Archive every tuple a :class:`ServingStore` ring evicts.

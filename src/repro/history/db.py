@@ -15,8 +15,8 @@ checkpoint store's verify-before-trust posture applied to rows.
 A process crash loses no committed flush (its frames are in the WAL);
 power loss may roll back up to one :data:`WAL_AUTOCHECKPOINT`-page WAL.
 
-Feeds overlap by design (a live ``on_tick`` feed and a ring
-``on_evict`` feed may both offer the same tuple); ``INSERT OR IGNORE``
+Feeds overlap by design (a fleet trace fed through ``archive_fleet``
+and a ring ``on_evict`` feed may both offer the same tuple); ``INSERT OR IGNORE``
 on the primary key makes re-ingest idempotent, which is what makes the
 no-tuple-lost guarantee cheap to uphold.
 """

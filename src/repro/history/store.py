@@ -12,8 +12,10 @@ through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
 kernel the property suite pins bit for bit to a real dsms
 :class:`~repro.dsms.operators.WindowAggregate`, so an archival answer's
 value *and* bound are bitwise what direct dsms evaluation of the same
-served tuples produces.  :meth:`HistoryStore.aggregate_series` is the
-one exception: rolling SQL window functions, whose sums reassociate.
+served tuples produces.  There is no second aggregate engine: an
+aggregate over a time range is ``replay_aggregate(range_query(...))``
+(what :class:`~repro.serving.server.QueryServer` composes), and a
+rolling series is :meth:`HistoryStore.window_aggregate` per point.
 
 :meth:`audit` closes the durability loop: it re-hashes every batch
 against the manifest its flush wrote (see :mod:`repro.history.db`) —
@@ -25,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import sqlite3
+from numbers import Integral
 from pathlib import Path
 from time import perf_counter
 
@@ -36,20 +39,6 @@ from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
 __all__ = ["HistoryStore"]
-
-#: Aggregates the SQL series path supports, mapped to (value expr, bound
-#: expr) over window ``w``.  Bound rules mirror
-#: repro.dsms.precision_propagation: mean → mean of member bounds,
-#: sum → sum, min/max → max of member bounds, count → constant zero.
-_SQL_SERIES = {
-    "mean": ("AVG(value) OVER w", "AVG(bound) OVER w"),
-    "avg": ("AVG(value) OVER w", "AVG(bound) OVER w"),
-    "sum": ("SUM(value) OVER w", "SUM(bound) OVER w"),
-    "min": ("MIN(value) OVER w", "MAX(bound) OVER w"),
-    "max": ("MAX(value) OVER w", "MAX(bound) OVER w"),
-    "count": ("COUNT(value) OVER w", "0.0"),
-}
-
 
 class HistoryStore:
     """Query surface over an archive database.
@@ -212,37 +201,13 @@ class HistoryStore:
         self, stream_id: str, size: int, t_end: float | None = None
     ) -> tuple[StreamTuple, ...]:
         """The last ``size`` tuples at or before ``t_end``, oldest first."""
-        if size < 1:
-            raise HistoryError(f"size must be >= 1, got {size!r}")
+        # 2.5 would fetch 2 rows, True one: sizes are integers, as on the ring.
+        if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
+            raise HistoryError(f"size must be an integer >= 1, got {size!r}")
         t0 = perf_counter()
         rows = self._newest(stream_id, size, t_end)
         self._record("range", t0, len(rows))
         return stream_tuples(stream_id, rows[::-1])
-
-    def range_aggregate(
-        self,
-        stream_id: str,
-        aggregate: str,
-        t_start: float,
-        t_end: float,
-        use_index: bool = True,
-    ) -> StreamTuple:
-        """Aggregate every archived tuple in ``[t_start, t_end]``.
-
-        Value and bound are bitwise what direct dsms evaluation of the
-        same tuples produces (the shared one-pass kernel; pinned by tests).
-        """
-        t0 = perf_counter()
-        with self._tel.span("history.aggregate"):
-            rows = self._select(stream_id, t_start, t_end, use_index=use_index)
-            if not rows:
-                raise HistoryError(
-                    f"stream {stream_id!r} has no archived tuples in "
-                    f"[{t_start!r}, {t_end!r}]"
-                )
-            answer = replay_aggregate(stream_tuples(stream_id, rows), aggregate)
-        self._record("aggregate", t0, len(rows))
-        return answer
 
     def window_aggregate(
         self,
@@ -270,53 +235,6 @@ class HistoryStore:
             answer = replay_aggregate(members, aggregate)
         self._record("aggregate", t0, len(members))
         return answer
-
-    def aggregate_series(
-        self,
-        stream_id: str,
-        aggregate: str,
-        size: int,
-        t_start: float,
-        t_end: float,
-    ) -> list[StreamTuple]:
-        """Rolling ``size``-tuple aggregates over a range, in SQL.
-
-        One SQLite window-function scan computes the whole series —
-        each output tuple aggregates the ``size`` archived tuples ending
-        at its timestamp (shorter prefixes at the start of history).
-        Exact for ``min``/``max``/``count`` (comparisons and counts
-        reassociate freely); ``mean``/``sum`` values may differ from the
-        dsms kernel's in the last ulps because SQL reassociates the
-        float summation.  Bounds follow the dsms propagation rules
-        (mean of bounds / sum of bounds / max of bounds / zero).  For a
-        per-answer exact result use :meth:`window_aggregate`.
-        """
-        spec = _SQL_SERIES.get(aggregate)
-        if spec is None:
-            raise HistoryError(
-                f"aggregate_series supports {sorted(set(_SQL_SERIES))}, "
-                f"got {aggregate!r} (use window_aggregate for the rest)"
-            )
-        if size < 1:
-            raise HistoryError(f"size must be >= 1, got {size!r}")
-        t0 = perf_counter()
-        grp, sub = self._key(stream_id)
-        value_fn, bound_fn = spec
-        frame = f"ROWS BETWEEN {int(size) - 1} PRECEDING AND CURRENT ROW"
-        # The window frame must see the `size - 1` tuples *before*
-        # t_start too, so the subselect widens to the whole stream and
-        # the outer filter trims to the requested range.
-        with self._tel.span("history.series"):
-            rows = self._conn.execute(
-                "SELECT t, v, b FROM ("
-                f"  SELECT t, {value_fn} AS v, {bound_fn} AS b"
-                "   FROM archive WHERE grp = ? AND sub = ?"
-                f"  WINDOW w AS (ORDER BY t {frame})"
-                ") WHERE t BETWEEN ? AND ? ORDER BY t",
-                (grp, sub, float(t_start), float(t_end)),
-            ).fetchall()
-        self._record("series", t0, len(rows))
-        return list(stream_tuples(f"{aggregate}({stream_id})", rows))
 
     # -- integrity ------------------------------------------------------
     def audit(self, stream_id: str | None = None) -> int:

@@ -44,6 +44,8 @@ def require_count(name: str, value) -> None:
     ``bool`` is refused too.  A size or limit that merely compares — ``2.5``,
     NaN — would pass ``value < 1`` and then fail later, or never trip at all.
     """
+    if type(value) is int and value >= 1:  # skips the slow ABC check below
+        return
     if (
         isinstance(value, bool)
         or not isinstance(value, numbers.Integral)

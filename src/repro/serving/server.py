@@ -21,27 +21,25 @@ archival prefix to the resident suffix, deduplicated at the boundary
 bit to the dsms window operator), so values and bounds are bitwise
 identical whichever store answered.
 
-Admission never sheds load.  When the in-flight count crosses
-``max_inflight``, range and aggregate requests whose signature has a
-cached answer are served *degraded*: the cached tuples, with each bound
-honestly widened by ``drift_per_tick · δ_stream`` per ingest tick of
-staleness and the response flagged ``degraded=True`` — the same
-contract-suspension semantics the supervision layer uses.  One honest
-exception: a cached *historical* answer covers a closed, immutable past
-interval, so re-serving it is bitwise identical to fresh evaluation and
-is **not** flagged degraded (nothing about the answer is stale).
-Requests with no cached answer (and all point queries, which are O(1))
-are evaluated fresh even under overload, so every admitted request is
-answered and no answer is ever silently dropped.
+Range and aggregate answers are memoized by request signature, and
+each request reads that cache once:
 
-The same signature cache doubles as a *keep-hot* memo on the healthy
-path: when a range/aggregate signature repeats and the store's content
-version has not moved since the last fresh evaluation (no ingest, no
-tick), the memoized tuples are re-served as-is — bitwise what
-re-evaluation would produce, so the response is *not* flagged degraded
-and no bound is widened.  Any ingest or clock advance invalidates every
-live entry at once (version mismatch); ``historical`` answers, being
-closed immutable intervals, stay servable forever.  Hits count into
+* a *keep-hot* hit — the store's content version has not moved since
+  the answer was evaluated (no ingest, no tick), or the answer is
+  ``historical`` (a closed, immutable past interval) — is bitwise what
+  re-evaluation would produce, so it is served undegraded with no
+  widening, overloaded or not;
+* any other hit is served only while in-flight requests exceed
+  ``max_inflight``, flagged ``degraded=True`` with each bound honestly
+  widened by ``drift_per_tick · δ_stream`` per ingest tick of staleness
+  (at least one: a moved version is stale) — the same
+  contract-suspension semantics the supervision layer uses;
+* otherwise — a miss, a stale hit with capacity to spare, any point
+  query (O(1), never cached) — the request is evaluated fresh.
+
+Admission therefore never sheds load: every admitted request is
+answered, no answer is silently dropped, and every non-fresh answer
+says so.  Keep-hot hits count into
 ``repro_serving_cache_hits_total{kind=...}``.
 """
 
@@ -78,8 +76,8 @@ class AdmissionConfig:
     """Overload-protection knobs.
 
     Attributes:
-        max_inflight: In-flight requests beyond which range/aggregate
-            evaluation degrades to cached answers.
+        max_inflight: In-flight requests beyond which a stale cached
+            range/aggregate answer is served degraded, not re-evaluated.
         drift_per_tick: Bound widening per ingest tick of staleness, as a
             multiple of the stream's δ.  The suppression contract already
             prices one tick of change at δ, so 1.0 advertises "this
@@ -150,11 +148,9 @@ class QueryServer:
         self._inflight = 0
         self._overloaded = False
         # Signature -> (tuples, store tick, provenance, store version) of
-        # the last fresh evaluation.  Two readers: the keep-hot path
-        # re-serves it bitwise while the store version is unchanged, and
-        # the overload path re-serves it *degraded* (bounds widened by
-        # staleness) whatever the version.  Bounded LRU: insertion-plus-
-        # read order, capped at admission.cache_capacity.
+        # the last fresh range/aggregate evaluation, read by _from_cache
+        # only.  Bounded LRU: insertion-plus-read order, capped at
+        # admission.cache_capacity.
         self._cache: OrderedDict[
             tuple, tuple[tuple[StreamTuple, ...], int, str, int]
         ] = OrderedDict()
@@ -176,8 +172,6 @@ class QueryServer:
     # -- evaluation -----------------------------------------------------
     @staticmethod
     def _signature(request: Query) -> tuple:
-        if isinstance(request, PointQuery):
-            return ("point", request.stream_id)
         if isinstance(request, RangeQuery):
             return ("range", request.stream_id, request.size)
         if isinstance(request, AggregateQuery):
@@ -251,15 +245,6 @@ class QueryServer:
             return (replay_aggregate(members, request.aggregate),), provenance
         raise ServingError(f"unknown request type {type(request).__name__}")
 
-    def _cache_get(
-        self, signature: tuple
-    ) -> tuple[tuple[StreamTuple, ...], int, str, int] | None:
-        """Cache lookup that refreshes LRU recency on a hit."""
-        cached = self._cache.get(signature)
-        if cached is not None:
-            self._cache.move_to_end(signature)
-        return cached
-
     def _cache_put(
         self,
         signature: tuple,
@@ -275,51 +260,37 @@ class QueryServer:
             if self._tel.enabled:
                 self._tel.inc("repro_serving_cache_evictions_total")
 
-    def _degraded_from_cache(
-        self, request: Query
-    ) -> tuple[tuple[StreamTuple, ...], int, str] | None:
-        """Stale cached tuples with honestly widened bounds, or ``None``.
+    def _from_cache(
+        self, signature: tuple, stream_id: str
+    ) -> tuple[tuple[StreamTuple, ...], int, str, bool] | None:
+        """The one cache read: ``(tuples, staleness, provenance, degraded)``.
 
-        A cached *historical* answer is immutable (its interval is
-        closed and entirely below the residency boundary, and served
-        time is monotone), so it comes back with zero staleness and no
-        widening — re-serving it equals re-evaluating it, bitwise.
+        A hit is re-served *as fresh* — undegraded, bitwise what
+        evaluation would return — when nothing it read can have changed:
+        the store's content version is what it was at evaluation time,
+        or the answer is ``historical`` (a closed past interval no new
+        ingest rewrites).  Any other hit is served only under overload,
+        flagged degraded, each bound widened by ``drift_per_tick · δ``
+        per tick of staleness; a moved version is at least one tick
+        stale, since an ingest without a tick advance changed the ring
+        too.  ``None`` means evaluate.  A hit refreshes LRU recency.
         """
-        cached = self._cache_get(self._signature(request))
+        cached = self._cache.get(signature)
         if cached is None:
             return None
-        tuples, at_tick, provenance, _version = cached
-        if provenance == "historical":
-            return tuples, 0, provenance
-        staleness = self.store.tick - at_tick
-        widen = self.admission.drift_per_tick * self.store.bounds[
-            request.stream_id
-        ] * staleness
-        if widen > 0.0:
-            tuples = tuple(
-                replace(tup, bound=tup.bound + widen) for tup in tuples
-            )
-        return tuples, staleness, provenance
-
-    def _fresh_from_cache(
-        self, request: Query
-    ) -> tuple[tuple[StreamTuple, ...], str] | None:
-        """Keep-hot hit: a memoized answer still bitwise-equal to fresh.
-
-        A cached answer is re-servable *as fresh* when nothing it read
-        can have changed: either the store's content version is exactly
-        what it was at evaluation time (no ingest, no tick since), or
-        the answer is ``historical`` — a closed, immutable past interval
-        that no amount of new ingest rewrites.  Anything else misses and
-        falls through to real evaluation.
-        """
-        cached = self._cache_get(self._signature(request))
-        if cached is None:
-            return None
-        tuples, _at_tick, provenance, version = cached
+        self._cache.move_to_end(signature)
+        tuples, at_tick, provenance, version = cached
         if provenance == "historical" or version == self.store.version:
-            return tuples, provenance
-        return None
+            return tuples, 0, provenance, False
+        if not self._overloaded:
+            return None
+        staleness = max(self.store.tick - at_tick, 1)
+        widen = (
+            self.admission.drift_per_tick * self.store.bounds[stream_id] * staleness
+        )
+        if widen > 0.0:
+            tuples = tuple(replace(tup, bound=tup.bound + widen) for tup in tuples)
+        return tuples, staleness, provenance, True
 
     def _note_overload(self) -> None:
         over = self._inflight > self.admission.max_inflight
@@ -350,38 +321,23 @@ class QueryServer:
             # admission before any evaluates, so in-flight (and the
             # overload decision) reflects true concurrency.
             await asyncio.sleep(0)
-            degraded = False
-            staleness = 0
-            reason = None
-            cache_hit = False
-            if (
-                self._overloaded
-                and not isinstance(request, PointQuery)
-                and (hit := self._degraded_from_cache(request)) is not None
-            ):
-                tuples, staleness, provenance = hit
-                # A cached historical answer is bitwise what fresh
-                # evaluation would return (immutable closed interval) —
-                # serving it is a fast path, not a degradation.
-                if provenance != "historical":
-                    degraded = True
-                    reason = "overload"
-            elif (
-                not isinstance(request, PointQuery)
-                and (fresh := self._fresh_from_cache(request)) is not None
-            ):
-                # Keep-hot path: the store has not changed (or the answer
-                # is immutable history), so the memoized tuples ARE the
-                # fresh answer — skip evaluation, serve undegraded.
-                tuples, provenance = fresh
-                cache_hit = True
+            signature = hit = None
+            if not isinstance(request, PointQuery):  # O(1): never cached
+                signature = self._signature(request)
+                hit = self._from_cache(signature, request.stream_id)
+            if hit is not None:
+                tuples, staleness, provenance, degraded = hit
+                cache_hit = not degraded
+                reason = "overload" if degraded else None
             else:
+                staleness, degraded, cache_hit, reason = 0, False, False, None
                 with tel.span(f"serving.{request.kind}"):
                     tuples, provenance = self._evaluate(request)
-                self._cache_put(
-                    self._signature(request),
-                    (tuples, self.store.tick, provenance, self.store.version),
-                )
+                if signature is not None:
+                    self._cache_put(
+                        signature,
+                        (tuples, self.store.tick, provenance, self.store.version),
+                    )
             latency = perf_counter() - t0
             self.requests_served += 1
             if degraded:

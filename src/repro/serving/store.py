@@ -6,13 +6,21 @@ each stream's *served* value (never raw arrivals — the paper's
 architecture, where query load is decoupled from stream volume because
 answers come from cached procedures) tagged with the stream's precision
 bound δ, and keeps a bounded ring of recent
-:class:`~repro.dsms.tuples.StreamTuple` history per stream.  Queries are
-evaluated with the dsms machinery itself — windowed aggregates go
-through :func:`~repro.dsms.operators.replay_aggregate`, the one-pass
-kernel pinned bit for bit to :class:`~repro.dsms.operators.WindowAggregate`
-— so a serving answer's value and bound are *bitwise* what direct dsms
-evaluation of the same served values produces (pinned by
-``tests/serving/test_store.py``).
+:class:`~repro.dsms.tuples.StreamTuple` history per stream.
+
+It is fed one way: :meth:`ServingStore.ingest` per served value, then
+:meth:`~ServingStore.advance_tick` once per fleet tick — by hand, inside
+``FleetEngine.run(values, on_tick=...)``, or through
+:meth:`~ServingStore.load_fleet_history` for a finished trace.  Its δ
+come from the allocator (``FleetResult.stream_bounds()``) or from query
+precision targets (``assign_stream_bounds(requirements)``).
+
+Queries are evaluated with the dsms machinery itself — windowed
+aggregates go through :func:`~repro.dsms.operators.replay_aggregate`,
+the one-pass kernel pinned bit for bit to
+:class:`~repro.dsms.operators.WindowAggregate` — so a serving answer's
+value and bound are *bitwise* what direct dsms evaluation of the same
+served values produces (pinned by ``tests/serving/test_serving_store.py``).
 """
 
 from __future__ import annotations
@@ -25,9 +33,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from repro.core.server import StreamServer
 from repro.dsms.operators import replay_aggregate
-from repro.dsms.precision_assignment import QueryRequirement, assign_stream_bounds
 from repro.dsms.tuples import StreamTuple, served_ticks
 from repro.errors import ServingError
 from repro.serving.requests import require_count
@@ -46,8 +52,6 @@ class ServingStore:
             tuple so query answers can propagate it.
         history: Ring-buffer length per stream; range and aggregate
             queries can look back at most this far.
-        server: Optional :class:`~repro.core.server.StreamServer` to pull
-            served values from on :meth:`ingest_tick`.
         on_evict: Optional hook called with each tuple a full ring is
             about to evict, *before* the ring drops it and takes the
             replacing tuple.  This is how history survives ring
@@ -62,7 +66,6 @@ class ServingStore:
         self,
         bounds: dict[str, float],
         history: int = 1024,
-        server: StreamServer | None = None,
         on_evict=None,
     ):
         if not bounds:
@@ -88,23 +91,7 @@ class ServingStore:
         #: re-serve a memoized fresh answer bitwise (keep-hot cache)
         #: without flagging it degraded.
         self.version = 0
-        self._server = server
         self.on_evict = on_evict
-
-    @classmethod
-    def from_requirements(
-        cls,
-        requirements: list[QueryRequirement],
-        history: int = 1024,
-        server: StreamServer | None = None,
-    ) -> "ServingStore":
-        """Build a store whose δ come from query precision targets.
-
-        The per-stream bounds are the loosest that still meet every
-        :class:`~repro.dsms.precision_assignment.QueryRequirement` —
-        the deployment-side inverse of bound propagation.
-        """
-        return cls(assign_stream_bounds(requirements), history=history, server=server)
 
     # -- ingest ---------------------------------------------------------
     def stream_ids(self) -> list[str]:
@@ -117,7 +104,7 @@ class ServingStore:
         The tuple is tagged with the stream's configured δ.  Does *not*
         advance the staleness clock — callers batch one fleet tick's
         ingests and then call :meth:`advance_tick` once (or use
-        :meth:`ingest_tick` / :meth:`load_fleet_history`, which do).
+        :meth:`load_fleet_history`, which does).
 
         ``t`` must be strictly after the stream's newest served tuple:
         the ring is a contiguous *sorted* suffix of the served history,
@@ -159,25 +146,6 @@ class ServingStore:
         self.tick += 1
         self.version += 1
         return self.tick
-
-    def ingest_tick(self, t: float, component: int = 0) -> None:
-        """Pull every registered stream's served value from the attached server.
-
-        Streams the server has not warmed up yet are skipped (they stay
-        cold in the store too).  Advances the staleness clock.
-        """
-        if self._server is None:
-            raise ServingError("no StreamServer attached; pass server= or use ingest()")
-        for sid in self.bounds:
-            value = self._server.value(sid)
-            if value is None:
-                continue
-            if not 0 <= component < value.shape[0]:
-                raise ServingError(
-                    f"stream {sid!r} has dim {value.shape[0]}, no component {component}"
-                )
-            self.ingest(sid, t, float(value[component]))
-        self.advance_tick()
 
     def load_fleet_history(
         self,
@@ -253,10 +221,10 @@ class ServingStore:
         """The last ``size`` served tuples, oldest first.
 
         Returns fewer than ``size`` when the history is still filling;
-        raises only when the stream is cold or unknown.
+        raises when the stream is cold or unknown, or ``size`` is not an
+        integer >= 1.
         """
-        if size < 1:
-            raise ServingError(f"range size must be >= 1, got {size!r}")
+        require_count("size", size)
         return tuple(islice(reversed(self._ring(stream_id)), size))[::-1]
 
     def window_aggregate(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
+from types import GeneratorType
 
 import numpy as np
 import pytest
@@ -137,10 +138,19 @@ REFUSED = [
     0.5,
     [0.5, "x"],
     ["abc"],
+    np.array(0.5),
+    {0.5, 0.25},
+    frozenset({0.5, 0.25}),
+    (b for b in [0.5, 0.25]),
 ]
 
 
-@pytest.mark.parametrize("bounds", REFUSED, ids=repr)
+def refused_id(bounds) -> str:
+    """``repr``, except for a generator, whose repr holds its address."""
+    return "generator" if isinstance(bounds, GeneratorType) else repr(bounds)
+
+
+@pytest.mark.parametrize("bounds", REFUSED, ids=refused_id)
 @pytest.mark.parametrize("name", RULES + ("var",))
 def test_what_numpy_refused_is_a_query_error(name, bounds):
     with pytest.raises(Exception):

@@ -1,11 +1,11 @@
-"""ArchiveWriter: batching, dedup, the three feeds, and no lost tuples.
+"""ArchiveWriter: batching, dedup, its feeds, and no lost tuples.
 
 The archive's load-bearing guarantee is completeness: between the hot
 ring and the archive, every served tuple is accounted for.  The
 eviction feed archives tuples as they age out, ``drain_store`` archives
 the residue, and ``INSERT OR IGNORE`` dedup makes overlapping feeds
-(live + evictions) safe — these tests pin each piece and the combined
-no-tuple-lost regression.
+(a fleet trace + evictions) safe — these tests pin each piece and the
+combined no-tuple-lost regression.
 """
 
 import hashlib
@@ -265,7 +265,8 @@ def _fleet(n=3, ticks=40):
 
 
 class TestThreeFeeds:
-    """Bulk trace load, live on_tick, and ring evictions produce one archive."""
+    """A bulk trace, the same walk per live tick, and ring evictions
+    produce one archive."""
 
     def test_bulk_and_live_feeds_archive_identically(self, tmp_path):
         engine, values, deltas = _fleet()
@@ -274,7 +275,7 @@ class TestThreeFeeds:
 
         live_db = tmp_path / "live.sqlite"
         with ArchiveWriter(live_db, bounds) as w:
-            engine.run(values, on_tick=w.on_tick(sids))
+            engine.run(values, on_tick=lambda t, s, _: w.archive_fleet(sids, s[None], t))
 
         bulk_db = tmp_path / "bulk.sqlite"
         engine2, values2, _ = _fleet()
@@ -290,14 +291,15 @@ class TestThreeFeeds:
 
     @pytest.mark.parametrize("component", [3, -1])
     def test_archive_feeds_diagnose_a_bad_component(self, db, component):
-        # One walker behind load_fleet_history / archive_fleet / on_tick:
-        # pre-fix, 3 was a raw IndexError and -1 archived the last component.
+        # One walker behind load_fleet_history / archive_fleet, whole trace
+        # or one live tick: pre-fix, 3 was a raw IndexError and -1 archived
+        # the last component.
         served = np.arange(12.0).reshape(2, 2, 3)
         with ArchiveWriter(db, {"a": 0.1, "b": 0.1}) as w:
             with pytest.raises(HistoryError, match=f"no component {component}"):
                 w.archive_fleet(["a", "b"], served, component=component)
             with pytest.raises(HistoryError, match=f"no component {component}"):
-                w.on_tick(["a", "b"], component=component)(0, served[0], None)
+                w.archive_fleet(["a", "b"], served[0][None], 0.0, component)
             with pytest.raises(HistoryError, match="shape"):
                 w.archive_fleet(["a"], served)
         assert HistoryStore(db).row_count() == 0
@@ -343,9 +345,8 @@ class TestThreeFeeds:
                 StreamReport("b", 0.5, 1, 10, 0.0, 0.0),
             ],
         )
-        with ArchiveWriter.for_fleet_result(
-            tmp_path / "r.sqlite", result
-        ) as w:
+        # The allocator -> archive hand-off is the fleet result's bounds.
+        with ArchiveWriter(tmp_path / "r.sqlite", result.stream_bounds()) as w:
             assert w.bounds == {"a": 0.25, "b": 0.5}
 
 

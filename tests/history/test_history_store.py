@@ -12,7 +12,7 @@ import sqlite3
 import numpy as np
 import pytest
 
-from repro.dsms.operators import WindowAggregate
+from repro.dsms.operators import WindowAggregate, replay_aggregate
 from repro.dsms.precision_propagation import aggregate_bound
 from repro.errors import HistoryError
 from repro.history import ArchiveWriter, HistoryStore
@@ -97,6 +97,17 @@ class TestBasics:
         assert store.point("s9").value == 1.0
 
 
+class TestSizesAreIntegers:
+    @pytest.mark.parametrize("bad", [2.5, True, float("nan")], ids=repr)
+    def test_archive_queries_refuse_a_non_integer_size(self, db, bad):
+        # Pre-fix 2.5 fetched 2 rows, True one, and NaN raised a raw ValueError.
+        store = HistoryStore(db)
+        with pytest.raises(HistoryError, match="size must be an integer"):
+            store.last_n("s0", bad)
+        with pytest.raises(HistoryError, match="size must be an integer"):
+            store.window_aggregate("s0", "mean", bad, emit_partial=True)
+
+
 class TestBitwiseParity:
     """Archival answers == direct dsms evaluation, bitwise."""
 
@@ -105,7 +116,9 @@ class TestBitwiseParity:
         store = HistoryStore(db)
         members = store.range_query("s0", 5.0, 36.0)
         direct = _replay(members, aggregate)
-        served = store.range_aggregate("s0", aggregate, 5.0, 36.0)
+        # An aggregate over a time range is the kernel over the range's
+        # members, the composition QueryServer serves.
+        served = replay_aggregate(store.range_query("s0", 5.0, 36.0), aggregate)
         assert served.value == direct.value  # bitwise, no tolerance
         assert served.bound == direct.bound
         assert served.t == direct.t
@@ -114,7 +127,7 @@ class TestBitwiseParity:
     def test_bound_matches_pure_propagation_rule(self, db, aggregate):
         store = HistoryStore(db)
         members = store.range_query("s1", 0.0, 15.0)
-        served = store.range_aggregate("s1", aggregate, 0.0, 15.0)
+        served = replay_aggregate(store.range_query("s1", 0.0, 15.0), aggregate)
         assert served.bound == aggregate_bound(
             aggregate, [m.bound for m in members], [m.value for m in members]
         )
@@ -142,8 +155,10 @@ class TestBitwiseParity:
         assert store.range_query("s0", 3.0, 55.0, use_index=False) == (
             store.range_query("s0", 3.0, 55.0, use_index=True)
         )
-        fast = store.range_aggregate("s0", "mean", 3.0, 55.0, use_index=True)
-        slow = store.range_aggregate("s0", "mean", 3.0, 55.0, use_index=False)
+        fast = replay_aggregate(store.range_query("s0", 3.0, 55.0), "mean")
+        slow = replay_aggregate(
+            store.range_query("s0", 3.0, 55.0, use_index=False), "mean"
+        )
         assert (fast.value, fast.bound) == (slow.value, slow.bound)
 
     def test_covering_index_is_actually_used(self, db):
@@ -168,11 +183,22 @@ class TestBitwiseParity:
 
 
 class TestAggregateSeries:
+    """A rolling series is ``window_aggregate`` per point: bitwise, no SQL."""
+
+    @staticmethod
+    def _series(store, aggregate, size, t_start, t_end):
+        return [
+            store.window_aggregate(
+                "s0", aggregate, size, t_end=float(t), emit_partial=True
+            )
+            for t in range(int(t_start), int(t_end) + 1)
+        ]
+
     def test_min_max_series_bitwise_vs_replay(self, db):
         store = HistoryStore(db)
         size = 5
         for aggregate in ("min", "max"):
-            series = store.aggregate_series("s0", aggregate, size, 10.0, 30.0)
+            series = self._series(store, aggregate, size, 10.0, 30.0)
             assert [tup.t for tup in series] == [float(t) for t in range(10, 31)]
             for tup in series:
                 direct = _replay(
@@ -180,26 +206,12 @@ class TestAggregateSeries:
                 )
                 assert (tup.value, tup.bound) == (direct.value, direct.bound)
 
-    def test_mean_sum_series_match_to_float_tolerance(self, db):
-        store = HistoryStore(db)
-        for aggregate in ("mean", "sum"):
-            series = store.aggregate_series("s0", aggregate, 8, 20.0, 40.0)
-            for tup in series:
-                direct = _replay(store.last_n("s0", 8, t_end=tup.t), aggregate)
-                assert tup.value == pytest.approx(direct.value, rel=1e-12)
-                assert tup.bound == pytest.approx(direct.bound, rel=1e-12)
-
     def test_count_series_exact_with_zero_bound(self, db):
         store = HistoryStore(db)
-        series = store.aggregate_series("s0", "count", 4, 2.0, 6.0)
+        series = self._series(store, "count", 4, 2.0, 6.0)
         assert [(tup.value, tup.bound) for tup in series] == [
             (3, 0.0), (4, 0.0), (4, 0.0), (4, 0.0), (4, 0.0)
         ]
-
-    def test_unsupported_series_aggregate_rejected(self, db):
-        store = HistoryStore(db)
-        with pytest.raises(HistoryError, match="aggregate_series supports"):
-            store.aggregate_series("s0", "median", 4, 0.0, 10.0)
 
 
 class TestIntegrity:
@@ -284,24 +296,24 @@ class TestTelemetry:
         store = HistoryStore(db, telemetry=tel)
         store.point("s0")
         store.range_query("s0", 0.0, 10.0)
-        store.range_aggregate("s0", "mean", 0.0, 10.0)
+        replay_aggregate(store.range_query("s0", 0.0, 10.0), "mean")
         store.window_aggregate("s0", "max", 4)
-        store.aggregate_series("s0", "min", 4, 0.0, 10.0)
         samples = parse_prometheus(tel.render_prometheus())
         assert samples[("repro_history_queries_total", (("kind", "point"),))] == 1
-        assert samples[("repro_history_queries_total", (("kind", "range"),))] == 2
-        assert samples[("repro_history_queries_total", (("kind", "aggregate"),))] == 2
-        assert samples[("repro_history_queries_total", (("kind", "series"),))] == 1
+        assert samples[("repro_history_queries_total", (("kind", "range"),))] == 3
+        assert samples[("repro_history_queries_total", (("kind", "aggregate"),))] == 1
         assert (
             samples[
                 ("repro_history_query_seconds_count", (("kind", "range"),))
             ]
-            == 2
+            == 3
         )
-        # 6 events, not 5: range_aggregate records its member fetch too.
+        # 5 events for 4 calls: window_aggregate records its member fetch too.
         events = tel.tracer.events(tracing.HISTORY_QUERY)
-        assert [e.tick for e in events] == [1, 2, 3, 4, 5, 6]
+        assert [e.tick for e in events] == [1, 2, 3, 4, 5]
         assert dict(events[1].fields) == {"query": "range", "rows": 11}
+        assert dict(events[2].fields) == {"query": "range", "rows": 11}
+        assert [dict(e.fields)["query"] for e in events[3:]] == ["range", "aggregate"]
         assert samples[
             ("repro_span_entries_total", (("span", "history.range"),))
-        ] == 1
+        ] == 2

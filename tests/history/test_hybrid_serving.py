@@ -3,7 +3,8 @@
 The PR's acceptance criterion lives here: historical and hybrid
 range/aggregate answers are bitwise-equal (values *and* bounds) to
 direct dsms evaluation over the same served tuples — asserted for all
-three ingest feeds (bulk fleet trace, live on_tick, ring evictions).
+three ways an archive is fed (a bulk fleet trace, ``archive_fleet`` per
+tick inside ``on_tick``, ring evictions).
 Plus the residency-split provenance labels, stitched-vs-archive
 equivalence, and overload honesty for cached historical answers.
 """
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.manager import FleetEngine
-from repro.dsms.operators import WindowAggregate
+from repro.dsms.operators import WindowAggregate, replay_aggregate
 from repro.dsms.tuples import StreamTuple
 from repro.errors import ServingError
 from repro.history import ArchiveWriter, HistoryStore
@@ -167,7 +168,7 @@ class TestBitwiseParity:
         history.refresh_bounds()
         assert hybrid.tuples == history.range_query("s", 30.0, 55.0)
         agg = _handle(server, HistoryAggregateQuery("s", "mean", 30.0, 55.0))
-        direct = history.range_aggregate("s", "mean", 30.0, 55.0)
+        direct = replay_aggregate(history.range_query("s", 30.0, 55.0), "mean")
         assert (agg.value, agg.bound) == (direct.value, direct.bound)
 
 
@@ -190,7 +191,7 @@ def _feed_archive(feed, tmp_path, sids, bounds, trace, engine2=None, values2=Non
         ring.load_fleet_history(sids, trace.served)
     elif feed == "live":
         with ArchiveWriter(db, bounds) as w:
-            engine2.run(values2, on_tick=w.on_tick(sids))
+            engine2.run(values2, on_tick=lambda t, s, _: w.archive_fleet(sids, s[None], t))
         ring = ServingStore(bounds, history=8)
         ring.load_fleet_history(sids, trace.served)
     else:  # evictions
@@ -206,10 +207,10 @@ def _feed_archive(feed, tmp_path, sids, bounds, trace, engine2=None, values2=Non
 class TestThreeFeedsAcceptance:
     """The acceptance criterion, per ingest feed.
 
-    Whichever feed populated the archive — bulk trace load, live
-    on_tick streaming, or ring evictions — historical and hybrid
-    answers are bitwise what direct dsms evaluation of the same served
-    tuples produces.
+    Whichever way the archive was fed — a bulk trace load,
+    ``archive_fleet`` per tick inside ``on_tick``, or ring evictions —
+    historical and hybrid answers are bitwise what direct dsms
+    evaluation of the same served tuples produces.
     """
 
     @pytest.mark.parametrize("feed", ["bulk", "live", "evict"])

@@ -178,6 +178,7 @@ class TestRunSummary:
         async def drive():
             await server.handle(PointQuery("s0"))
             await server.handle(query)  # fills the degradation cache
+            store.advance_tick()  # a stale entry: degraded only under overload
             await asyncio.gather(*(server.handle(query) for _ in range(10)))
 
         asyncio.run(drive())
@@ -198,13 +199,16 @@ class TestRunSummary:
             == 11
         )
         # Span timings export as counters, one entry per fresh evaluation;
-        # degraded serves and keep-hot cache hits both skip the span.
+        # degraded serves and keep-hot cache hits both skip the span.  Two
+        # fresh: the fill, and the first burst request served once
+        # in-flight fell back to the limit (the stale entry is not served
+        # without overload); the last one is a keep-hot hit on it.
         cache_hits = samples[
             ("repro_serving_cache_hits_total", (("kind", "aggregate"),))
         ]
         assert cache_hits == server.cache_hits > 0
         fresh_agg = n_agg - degraded - cache_hits
-        assert fresh_agg == 1
+        assert fresh_agg == 2
         assert (
             samples[("repro_span_entries_total", (("span", "serving.aggregate"),))]
             == fresh_agg

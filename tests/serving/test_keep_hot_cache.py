@@ -5,8 +5,9 @@ signature and re-serves them while the store's content version is
 unchanged.  Pinned here: a hit is bitwise the fresh answer and *not*
 flagged degraded, evaluation really is skipped (span count), any ingest
 or tick advance invalidates live entries, historical answers stay
-servable forever, point queries never cache, and the overload/degraded
-semantics are exactly what they were before the cache existed.
+servable forever, point queries never cache, a stale entry under
+overload is served degraded and widened, and a hit at an unchanged
+version is served fresh even under overload.
 """
 
 import asyncio
@@ -133,8 +134,8 @@ class TestKeepHot:
 
 class TestOverloadSemanticsUnchanged:
     def test_degraded_path_still_widens_and_flags(self):
-        """Overload precedence beats keep-hot: stale entries still serve
-        degraded with widened bounds, exactly as before the cache."""
+        """Under overload a stale entry (the store ticked since) still
+        serves degraded with widened bounds, exactly as before the cache."""
         store = _store()
         server = QueryServer(
             store, admission=AdmissionConfig(max_inflight=1, drift_per_tick=1.0)
@@ -158,13 +159,15 @@ class TestOverloadSemanticsUnchanged:
             assert r.bound == fresh.bound + 1.0 * store.bounds["s0"] * 2
         assert all(r.value == fresh.value for r in responses)
 
-    def test_overload_flag_takes_precedence_over_keep_hot(self):
-        """Overloaded + cached: flagged degraded even at an unchanged
-        store version — the freshness contract is suspended regardless,
-        exactly as pinned before the keep-hot cache existed (zero
-        staleness still means zero widening)."""
+    def test_fresh_hit_beats_overload(self):
+        """Overloaded + cached at an unchanged store version: the cached
+        answer IS the fresh one, so every response is served undegraded,
+        bitwise, with zero staleness and no re-evaluation."""
+        tel = Telemetry()
         store = _store()
-        server = QueryServer(store, admission=AdmissionConfig(max_inflight=1))
+        server = QueryServer(
+            store, admission=AdmissionConfig(max_inflight=1), telemetry=tel
+        )
         query = AggregateQuery("s0", "mean", 16)
         fresh = _handle(server, query)
 
@@ -174,12 +177,11 @@ class TestOverloadSemanticsUnchanged:
             )
 
         responses = asyncio.run(burst())
-        degraded = [r for r in responses if r.degraded]
-        assert degraded
-        for r in degraded:
-            assert r.reason == "overload"
+        assert server.overloaded is False and server.requests_degraded == 0
+        for r in responses:
+            assert not r.degraded and r.reason is None
             assert r.staleness_ticks == 0
-            assert r.bound == fresh.bound
-        # Requests served after in-flight drains below the limit may hit
-        # keep-hot instead — same tuples, just not flagged.
-        assert all(r.value == fresh.value for r in responses)
+            assert r.tuples == fresh.tuples
+            assert (r.value, r.bound) == (fresh.value, fresh.bound)
+        assert server.cache_hits == 8
+        assert _eval_count(tel, "aggregate") == 1

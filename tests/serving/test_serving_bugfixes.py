@@ -7,9 +7,8 @@ Defects pinned here so they cannot regress:
    ``oldest_t`` / ``tuples_between`` / hybrid stitching rely on.  It now
    raises a diagnosed :class:`~repro.errors.ServingError`.
 2. ``load_fleet_history`` surfaced a raw ``IndexError`` for an
-   out-of-range component instead of the validated ``ServingError`` that
-   ``ingest_tick`` raises (and ``ingest_tick``'s own check rejected
-   negative components only by accident of Python indexing).
+   out-of-range component, and took a negative one as counting from the
+   end; both are now a validated ``ServingError``.
 3. ``QueryServer``'s keep-hot signature cache grew without bound — one
    entry per distinct signature, forever.  It is now a capacity-bounded
    LRU with an eviction counter, and the overload/degraded and keep-hot
@@ -38,6 +37,15 @@ Defects pinned here so they cannot regress:
    the old tuple (and moved ``version``) before ``on_evict`` raised.  The
    hook now sees the tuple first, and ``attach_evictions`` refuses a
    store with streams its writer does not know.
+10. Under overload a cached answer was widened by store *ticks* only:
+    after an ``ingest`` with no ``advance_tick`` it came back with
+    staleness 0 and its old bound (a 4-member mean re-served as
+    1.0 ± 0.5 while the fresh answer was 25.75).  A cached answer whose
+    store version moved is now at least one tick stale.
+11. ``ServingStore.range_query`` / ``window_aggregate`` checked only
+    ``size < 1``: ``2.5`` raised a raw ``ValueError`` from ``islice`` and
+    ``True`` answered as size 1.  Sizes are now integers >= 1, else a
+    ``ServingError``.
 """
 
 import asyncio
@@ -70,16 +78,6 @@ def _store(n=40, history=64):
 
 def _handle(server, request):
     return asyncio.run(server.handle(request))
-
-
-class _FakeFleetServer:
-    """Just enough of StreamServer for ingest_tick: value(sid) -> ndarray."""
-
-    def __init__(self, values):
-        self._values = values
-
-    def value(self, stream_id):
-        return self._values.get(stream_id)
 
 
 class TestIngestMonotonicity:
@@ -207,24 +205,6 @@ class TestComponentValidation:
         store.load_fleet_history(["s0"], served, component=1)
         assert store.point("s0").value == 7.0
         assert store.tick == 4
-
-    def test_ingest_tick_out_of_range_component_matches(self):
-        fake = _FakeFleetServer({"s0": np.array([1.0, 2.0])})
-        store = ServingStore({"s0": 0.5}, server=fake)
-        with pytest.raises(ServingError, match="no component 2"):
-            store.ingest_tick(0.0, component=2)
-
-    def test_ingest_tick_negative_component_rejected(self):
-        fake = _FakeFleetServer({"s0": np.array([1.0, 2.0])})
-        store = ServingStore({"s0": 0.5}, server=fake)
-        with pytest.raises(ServingError, match="no component -1"):
-            store.ingest_tick(0.0, component=-1)
-
-    def test_ingest_tick_valid_component_works(self):
-        fake = _FakeFleetServer({"s0": np.array([1.0, 2.0])})
-        store = ServingStore({"s0": 0.5}, server=fake)
-        store.ingest_tick(0.0, component=1)
-        assert store.point("s0").value == 2.0
 
 
 class TestBoundedLruCache:
@@ -422,6 +402,14 @@ class TestIntegerSizes:
         with pytest.raises(ServingError, match="history"):
             ServingStore({"s0": 0.5}, history=bad)
 
+    @pytest.mark.parametrize("bad", [2.5, True, float("nan")], ids=repr)
+    def test_store_queries_refuse_a_non_integer_size(self, bad):
+        store = _store()
+        with pytest.raises(ServingError, match="size must be an integer"):
+            store.range_query("s0", bad)
+        with pytest.raises(ServingError, match="size must be an integer"):
+            store.window_aggregate("s0", "mean", bad)
+
     def test_numpy_integers_are_integers(self):
         store = _store()
         server = QueryServer(
@@ -430,6 +418,34 @@ class TestIntegerSizes:
         assert len(_handle(server, RangeQuery("s0", np.int64(3))).tuples) == 3
         assert _handle(server, AggregateQuery("s0", "max", np.int16(4))).bound == 0.5
         assert ServingStore({"s0": 0.5}, history=np.int64(4)).history == 4
+
+
+class TestIngestWithoutTickIsStale:
+    def test_an_ingest_without_a_tick_widens_a_degraded_answer(self):
+        store = ServingStore({"a": 0.5})
+        for t in range(4):
+            store.ingest("a", float(t), 1.0)
+        server = QueryServer(store, admission=AdmissionConfig(max_inflight=1))
+        query = AggregateQuery("a", "mean", 4)
+        cached = _handle(server, query)
+        assert (cached.value, cached.bound) == (1.0, 0.5)
+        store.ingest("a", 4.0, 100.0)  # no advance_tick: tick unchanged
+        assert store.tick == 0
+
+        async def burst():
+            return await asyncio.gather(*(server.handle(query) for _ in range(4)))
+
+        answers = asyncio.run(burst())
+        degraded = [a for a in answers if a.degraded]
+        assert degraded, "an overloaded burst should re-serve the cached answer"
+        for answer in degraded:
+            assert answer.reason == "overload"
+            assert answer.staleness_ticks == 1
+            assert answer.value == 1.0
+            assert answer.bound == 0.5 + 1.0 * 0.5
+        # Once in-flight drains, the same request evaluates fresh.
+        fresh = _handle(server, query)
+        assert not fresh.degraded and fresh.value == 25.75
 
 
 class TestRefusedEvictionKeepsTheTuple:

@@ -127,6 +127,7 @@ class TestOverload:
         )
         query = AggregateQuery("s0", "mean", 8)
         fresh = _handle(server, query)  # caches the signature
+        store.advance_tick()  # the cached answer is now one tick stale
 
         async def burst():
             return await asyncio.gather(*(server.handle(query) for _ in range(40)))
@@ -138,11 +139,10 @@ class TestOverload:
         for r in degraded:
             assert r.reason == "overload"
             assert r.value == fresh.value  # stale cached value
-            # Store clock has not advanced since the cache fill, so the
-            # honest widening is zero — but the flag still marks the
-            # suspended freshness contract.
-            assert r.staleness_ticks == 0
-            assert r.bound == fresh.bound
+            # One tick of staleness: widened by exactly drift x delta x 1,
+            # and the flag marks the suspended freshness contract.
+            assert r.staleness_ticks == 1
+            assert r.bound == fresh.bound + 1.0 * store.bounds["s0"]
 
     def test_degraded_bound_widens_with_staleness(self):
         store = _store()

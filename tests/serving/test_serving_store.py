@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.manager import FleetEngine
 from repro.dsms.operators import WindowAggregate
-from repro.dsms.precision_assignment import QueryRequirement
+from repro.dsms.precision_assignment import QueryRequirement, assign_stream_bounds
 from repro.dsms.precision_propagation import aggregate_bound
 from repro.dsms.query import ContinuousQuery
 from repro.dsms.tuples import StreamTuple
@@ -51,7 +51,7 @@ class TestConstruction:
             QueryRequirement(ContinuousQuery("a").window("sum", size=10), 5.0),
             QueryRequirement(ContinuousQuery("b").window("mean", size=8), 0.75),
         ]
-        store = ServingStore.from_requirements(reqs)
+        store = ServingStore(assign_stream_bounds(reqs))
         # sum over 10 members has sensitivity 10; mean has sensitivity 1.
         assert store.bounds == {"a": 0.5, "b": 0.75}
 
