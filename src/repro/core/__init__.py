@@ -41,7 +41,6 @@ from repro.core.manager import (
 )
 from repro.core.model_bank import ModelBankSelector
 from repro.core.reference import PolicyLoopEngine
-from repro.core.nonlinear import EkfPredictor, EkfSuppressionPolicy, RangeBearingBound
 from repro.core.policy_base import (
     MirroredPredictorPolicy,
     PeriodicPolicy,
@@ -90,9 +89,6 @@ __all__ = [
     "MirroredPredictorPolicy",
     "PeriodicPolicy",
     "ModelBankSelector",
-    "EkfPredictor",
-    "EkfSuppressionPolicy",
-    "RangeBearingBound",
     "PrecisionBound",
     "AbsoluteBound",
     "RelativeBound",

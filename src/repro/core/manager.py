@@ -366,9 +366,7 @@ _STATE_FIELDS = ("x", "P") + _ACCOUNTING_FIELDS
 
 def _validated_state(state: dict, n: int, dim_x: int) -> dict:
     """The dense :class:`FleetEngine` state, checked before a restore mutates."""
-    validated_snapshot(
-        state, n, _STATE_FIELDS, scalars=("ticks",), optional=("n_censored",)
-    )
+    validated_snapshot(state, n, _STATE_FIELDS, scalars=("ticks",))
     for name, shape in (("x", (n, dim_x)), ("P", (n, dim_x, dim_x))):
         value = state[name]
         if not isinstance(value, np.ndarray) or value.shape != shape:
@@ -381,20 +379,12 @@ def _validated_state(state: dict, n: int, dim_x: int) -> dict:
     return state
 
 
-def _accounting_arrays(state: dict, n: int) -> dict:
-    """A validated state's accounting vectors, as fresh arrays of engine dtype.
-
-    Checkpoints written before censoring existed omit ``n_censored``; it
-    reads as zeros.
-    """
-    out = {
+def _accounting_arrays(state: dict) -> dict:
+    """A validated state's accounting vectors, as fresh arrays of engine dtype."""
+    return {
         name: np.array(state[name], dtype=bool if name == "warm" else int)
         for name in _ACCOUNTING_FIELDS
-        if name in state
     }
-    if "n_censored" not in out:
-        out["n_censored"] = np.zeros(n, dtype=int)
-    return out
 
 
 class FleetEngine:
@@ -419,8 +409,6 @@ class FleetEngine:
     Args:
         models: One process model per stream.
         deltas: Per-stream absolute bounds (the dead band half-width).
-        norm: ``"max"`` (componentwise) or ``"l2"``, matching
-            :class:`~repro.core.precision.AbsoluteBound`.
         telemetry: Optional :class:`~repro.obs.Telemetry` sink.  The
             batch path records the same ``repro_ticks_total`` /
             ``repro_messages_total`` / ``repro_suppressed_ticks_total``
@@ -442,13 +430,10 @@ class FleetEngine:
         self,
         models: list[ProcessModel],
         deltas: np.ndarray,
-        norm: str = "max",
         telemetry=None,
         sketch: SketchConfig | None = None,
         censor_threshold: float = 0.0,
     ):
-        if norm not in ("max", "l2"):
-            raise ConfigurationError(f"unknown norm {norm!r}; expected 'max' or 'l2'")
         self.filters = BatchKalmanFilter(
             models, sketch=sketch, censor_threshold=censor_threshold
         )
@@ -459,7 +444,6 @@ class FleetEngine:
         # Span names are an external interface (dashboards, benchmarks/e2e): fixed.
         self._span_name = "batch_step[sketch]" if self.approx else "batch_step[numpy]"
         self.n = self.filters.n
-        self.norm = norm
         self.set_deltas(deltas)
         self.warm = np.zeros(self.n, dtype=bool)
         self.messages = np.zeros(self.n, dtype=int)
@@ -523,7 +507,7 @@ class FleetEngine:
         }
 
     def _restore_accounting(self, state: dict) -> None:
-        acc = _accounting_arrays(state, self.n)
+        acc = _accounting_arrays(state)
         self.warm, self.messages = acc["warm"], acc["messages"]
         self.ticks = int(state["ticks"])
         self.filters.n_predicts = acc["n_predicts"]
@@ -567,16 +551,12 @@ class FleetEngine:
         values = np.asarray(values, dtype=float)
         pred = self.filters.predicted_measurements()
         have = ~np.all(np.isnan(values), axis=1)
-        # Dead-band test, evaluated only where a warm stream has a fresh
+        # Max-norm dead-band test, evaluated only where a warm stream has a fresh
         # measurement; err stays +inf elsewhere so cold streams always send.
         err = np.full(self.n, np.inf)
         cand = have & self.warm
         if cand.any():
-            diff = np.abs(pred[cand] - values[cand])
-            if self.norm == "max":
-                err[cand] = np.nanmax(diff, axis=1)
-            else:
-                err[cand] = np.sqrt(np.nansum(diff * diff, axis=1))
+            err[cand] = np.nanmax(np.abs(pred[cand] - values[cand]), axis=1)
         sent = have & (err > self.deltas)
         # Exactly one predict per warm-or-sending stream per tick (an
         # update tick is predict+update, a coast tick is predict alone).

@@ -61,35 +61,23 @@ def validated_snapshot(
     n: int,
     per_stream: tuple[str, ...],
     scalars: tuple[str, ...] = (),
-    optional: tuple[str, ...] = (),
 ) -> dict:
     """``snapshot`` with every required field present and ``n`` long, or raise.
 
     An engine's ``restore_state`` calls this first, so a truncated
     snapshot is refused — :class:`~repro.errors.ConfigurationError`
     naming the field — while the live engine is still exactly as it was.
-    ``optional`` per-stream fields may be absent, but not short.
     """
-    required = [name for name in per_stream + scalars if name not in optional]
-    missing = [name for name in required if name not in snapshot]
+    missing = [name for name in per_stream + scalars if name not in snapshot]
     if missing:
         raise ConfigurationError(f"snapshot is missing required field(s) {missing}")
     for name in per_stream:
-        if name in snapshot and len(snapshot[name]) != n:
+        if len(snapshot[name]) != n:
             raise ConfigurationError(
                 f"snapshot field {name!r} covers {len(snapshot[name])} streams, "
                 f"engine has {n}"
             )
     return snapshot
-
-
-def _engine_snapshot(payload: dict) -> dict:
-    if "engine" in payload:
-        return payload["engine"]
-    # Scalar-backend ``run_dynamic`` checkpoints written before the
-    # reference engine existed keep their per-policy snapshots at the top
-    # level, keyed by stream id.
-    return {"policies": [payload["policies"][sid] for sid in payload["stream_ids"]]}
 
 
 def recover_engine(
@@ -125,8 +113,13 @@ def recover_engine(
                     f"generation {info.generation}: {key}={short(payload.get(key))} "
                     f"does not match this run's {short(want)}"
                 )
+        if "engine" not in payload:
+            raise CheckpointError(
+                f"generation {info.generation}: payload has no 'engine' state "
+                "(pre-engine layouts are not read)"
+            )
         staged = stage(payload, info) if stage is not None else None
-        snapshot = _engine_snapshot(payload)
+        snapshot = payload["engine"]
         # Prove the state rebuilds a working engine before anything live
         # is touched.
         make_shadow().restore_state(snapshot)

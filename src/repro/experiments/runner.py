@@ -17,13 +17,10 @@ from repro.baselines.dead_band import DeadBandPolicy
 from repro.baselines.dead_reckoning import DeadReckoningPolicy
 from repro.baselines.ewma import EwmaPolicy
 from repro.core.adaptive import AdaptationPolicy
-from repro.core.manager import FleetEngine
 from repro.core.policy_base import SuppressionPolicy
 from repro.core.precision import AbsoluteBound
-from repro.core.protocol import HEADER_BYTES
 from repro.core.session import DualKalmanPolicy
 from repro.experiments.workloads import Workload
-from repro.kalman.models import ProcessModel
 from repro.metrics.errors import per_tick_abs_error
 from repro.network.stats import CommunicationStats
 from repro.streams.base import Reading
@@ -34,7 +31,6 @@ __all__ = [
     "standard_policies",
     "dkf_policy",
     "sweep_deltas",
-    "sweep_deltas_batch",
     "run_offline_smoother",
 ]
 
@@ -202,54 +198,3 @@ def sweep_deltas(
 ) -> list[RunResult]:
     """Run a fresh policy instance per δ over the same readings."""
     return [run_policy(readings, policy_factory(delta)) for delta in deltas]
-
-
-def sweep_deltas_batch(
-    readings: Sequence[Reading],
-    deltas: Sequence[float],
-    model: ProcessModel,
-    norm: str = "max",
-) -> list[RunResult]:
-    """Vectorized δ sweep of the non-adaptive dual-Kalman policy.
-
-    Equivalent to :func:`sweep_deltas` with a fixed-bound
-    :class:`~repro.core.session.DualKalmanPolicy` factory, but all δ cells
-    run together as one :class:`~repro.core.manager.FleetEngine` batch —
-    one virtual stream per δ over the shared readings — so sweep cost no
-    longer grows with the grid size.  Results match the scalar sweep
-    exactly (messages, served values, stats).
-    """
-    readings = list(readings)
-    deltas = [float(d) for d in deltas]
-    engine = FleetEngine([model] * len(deltas), np.array(deltas), norm=norm)
-    n = len(readings)
-    dim = model.dim_z
-    values = np.full((n, len(deltas), dim), np.nan)
-    measured = np.full((n, dim), np.nan)
-    truth = np.full((n, dim), np.nan)
-    for i, reading in enumerate(readings):
-        if reading.value is not None:
-            values[i, :, :] = reading.value
-            measured[i] = reading.value
-        if reading.truth is not None:
-            truth[i] = reading.truth
-    trace = engine.run(values)
-    results = []
-    for j, delta in enumerate(deltas):
-        stats = CommunicationStats()
-        sent = int(trace.sent[:, j].sum())
-        # Same accounting the scalar policy performs per send, in bulk:
-        # one MeasurementUpdate of `dim` floats plus the outlier flag.
-        stats.sent_messages["update"] = sent
-        stats.sent_payload_bytes["update"] = sent * (HEADER_BYTES + 8 * dim + 1)
-        results.append(
-            RunResult(
-                policy_name="dual_kalman",
-                served=trace.served[:, j, :].copy(),
-                measured=measured.copy(),
-                truth=truth.copy(),
-                sent=trace.sent[:, j].copy(),
-                stats=stats,
-            )
-        )
-    return results

@@ -201,13 +201,17 @@ class HistoryStore:
         self, stream_id: str, size: int, t_end: float | None = None
     ) -> tuple[StreamTuple, ...]:
         """The last ``size`` tuples at or before ``t_end``, oldest first."""
+        t0 = perf_counter()
+        members = self._last(stream_id, size, t_end)
+        self._record("range", t0, len(members))
+        return members
+
+    def _last(self, stream_id: str, size: int, t_end: float | None):
+        """:meth:`last_n`'s tuples, not recorded as a query of their own."""
         # 2.5 would fetch 2 rows, True one: sizes are integers, as on the ring.
         if isinstance(size, bool) or not isinstance(size, Integral) or size < 1:
             raise HistoryError(f"size must be an integer >= 1, got {size!r}")
-        t0 = perf_counter()
-        rows = self._newest(stream_id, size, t_end)
-        self._record("range", t0, len(rows))
-        return stream_tuples(stream_id, rows[::-1])
+        return stream_tuples(stream_id, self._newest(stream_id, size, t_end)[::-1])
 
     def window_aggregate(
         self,
@@ -225,7 +229,7 @@ class HistoryStore:
         """
         t0 = perf_counter()
         with self._tel.span("history.aggregate"):
-            members = self.last_n(stream_id, size, t_end=t_end)
+            members = self._last(stream_id, size, t_end)
             if not members or (len(members) < size and not emit_partial):
                 raise HistoryError(
                     f"stream {stream_id!r} has {len(members)} archived tuples "

@@ -10,12 +10,6 @@ for the filter itself and :mod:`repro.kalman.models` for the model factories
 from repro.kalman.adaptive_noise import MeasurementNoiseEstimator, ProcessNoiseScaler
 from repro.kalman.batch import BatchKalmanFilter
 from repro.kalman.consistency import NisMonitor, nees_consistency
-from repro.kalman.ekf import (
-    ExtendedKalmanFilter,
-    MeasurementFunction,
-    range_bearing,
-    wrap_angle,
-)
 from repro.kalman.filter import KalmanFilter, StepRecord
 from repro.kalman.models import (
     ProcessModel,
@@ -40,10 +34,6 @@ from repro.kalman.smoother import SmoothedStep, rts_smooth
 __all__ = [
     "KalmanFilter",
     "BatchKalmanFilter",
-    "ExtendedKalmanFilter",
-    "MeasurementFunction",
-    "range_bearing",
-    "wrap_angle",
     "StepRecord",
     "ProcessModel",
     "random_walk",

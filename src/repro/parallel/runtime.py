@@ -357,7 +357,6 @@ class ShardedFleetRuntime:
         executor: ``"process"`` (main runs) or ``"serial"`` (tests,
             determinism, no pool).
         max_workers: Pool size; defaults to the number of shards.
-        norm: Dead-band norm, as for :class:`FleetEngine`.
         chunk_ticks: Dispatch granularity in ticks.  ``None`` runs each
             :meth:`run` window as a single chunk per shard; smaller
             chunks bound how much work a worker death can lose.
@@ -389,7 +388,6 @@ class ShardedFleetRuntime:
         plan: ShardPlan | None = None,
         executor: str = "process",
         max_workers: int | None = None,
-        norm: str = "max",
         chunk_ticks: int | None = None,
         max_respawns: int = 2,
         transport: str = "shm",
@@ -405,8 +403,6 @@ class ShardedFleetRuntime:
             raise ConfigurationError(
                 f"unknown transport {transport!r}; expected one of {TRANSPORT_KINDS}"
             )
-        if norm not in ("max", "l2"):
-            raise ConfigurationError(f"unknown norm {norm!r}; expected 'max' or 'l2'")
         if chunk_ticks is not None and chunk_ticks < 1:
             raise ConfigurationError(
                 f"chunk_ticks must be positive, got {chunk_ticks!r}"
@@ -427,7 +423,6 @@ class ShardedFleetRuntime:
                 f"n_shards={n_shards} conflicts with plan.n_shards={plan.n_shards}"
             )
         self.plan = plan
-        self.norm = norm
         self.executor_kind = executor
         self.sketch = sketch
         self.censor_threshold = float(censor_threshold)
@@ -452,7 +447,6 @@ class ShardedFleetRuntime:
         self._segments: list[_ShardSegment | None] = [None] * plan.n_shards
         self._segment_gen = 0
         self._engine_kwargs = dict(
-            norm=norm,
             sketch=self.sketch,
             censor_threshold=self.censor_threshold,
         )
@@ -777,7 +771,7 @@ class ShardedFleetRuntime:
         """
         _validated_state(snapshot, self.n, self._dim_x_max)
         x, P, ticks = snapshot["x"], snapshot["P"], int(snapshot["ticks"])
-        accounting = _accounting_arrays(snapshot, self.n)
+        accounting = _accounting_arrays(snapshot)
         for k, (engine, idx) in enumerate(zip(self._engines, self.plan.assignments)):
             d = engine.filters.dim_x_max
             part = {name: acc[idx] for name, acc in accounting.items()}

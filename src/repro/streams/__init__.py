@@ -19,7 +19,6 @@ from repro.streams.base import (
 from repro.streams.mobility import GpsTrajectory
 from repro.streams.network_traces import RttTrace, TrafficRateTrace
 from repro.streams.noise import Dropout, GaussianNoise, OutlierInjector
-from repro.streams.observers import RangeBearingObserver
 from repro.streams.replay import RecordedStream, from_csv, record, to_csv
 from repro.streams.sensors import TemperatureSensor
 from repro.streams.synthetic import (
@@ -51,7 +50,6 @@ __all__ = [
     "RttTrace",
     "TrafficRateTrace",
     "GaussianNoise",
-    "RangeBearingObserver",
     "OutlierInjector",
     "Dropout",
     "RecordedStream",

@@ -5,7 +5,9 @@ import pytest
 
 from repro.core.manager import ManagedStream, StreamResourceManager
 from repro.errors import AllocationError, ConfigurationError
+from repro.faults import FaultPlan
 from repro.kalman.models import random_walk
+from repro.metrics.report import render_recovery_table
 from repro.streams.replay import record
 from repro.streams.synthetic import RandomWalkStream
 
@@ -111,6 +113,34 @@ class TestAllocationAndRun:
 
 
 BACKENDS = ["scalar", "batch", "sharded"]
+
+
+RECOVERY_HEADER = [
+    "stream", "delta", "ticks", "degraded%", "unflagged", "recoveries",
+    "mean_rec_ticks", "heartbeats", "nacks", "resyncs", "bytes",
+]
+
+
+class TestSupervisedRun:
+    def test_burst_loss_is_recovered_and_always_flagged(self):
+        manager = StreamResourceManager(_fleet(n=3, ticks=900), probe_ticks=400)
+        clean = manager.run_supervised(0.3)
+        lossy = manager.run_supervised(
+            0.3, plan=FaultPlan(seed=5, burst_loss_rate=0.2, burst_mean=4.0)
+        )
+        assert clean.scenario == "fault-free"
+        assert clean.recovery.recoveries == 0
+        assert clean.degraded_fraction == 0.0
+        assert lossy.scenario.startswith("gilbert_elliott")
+        assert lossy.recovery.recoveries > 0
+        assert lossy.degraded_fraction > 0.0
+        for result in (clean, lossy):
+            assert result.total_unflagged == 0
+            assert [r.ticks for r in result.reports] == [500, 500, 500]
+            header, _, *rows = render_recovery_table(result.reports).splitlines()
+            assert [h.strip() for h in header.split("|")] == RECOVERY_HEADER
+            assert [row.split()[0] for row in rows] == ["s0", "s1", "s2"]
+        assert lossy.total_bytes > clean.total_bytes
 
 
 class TestMalformedInputDiagnosedAtConstruction:

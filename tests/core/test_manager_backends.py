@@ -21,6 +21,7 @@ from repro.core.reference import PolicyLoopEngine
 from repro.core.session import DualKalmanPolicy
 from repro.errors import ConfigurationError
 from repro.kalman.models import constant_velocity, random_walk
+from repro.parallel import ShardedFleetRuntime
 from repro.streams.replay import record
 from repro.streams.synthetic import RandomWalkStream, SinusoidStream
 
@@ -53,9 +54,12 @@ def _managers(**kwargs):
 
 
 class TestEngineValidation:
-    def test_unknown_norm_rejected(self):
-        with pytest.raises(ConfigurationError):
-            FleetEngine([random_walk()], np.ones(1), norm="l1")
+    def test_norm_keyword_is_gone(self):
+        # The dead band is the max norm, with no knob to change it.
+        with pytest.raises(TypeError):
+            FleetEngine([random_walk()], np.ones(1), norm="max")
+        with pytest.raises(TypeError):
+            ShardedFleetRuntime([random_walk()], np.ones(1), norm="max")
 
     def test_deltas_shape_and_sign_checked(self):
         engine = FleetEngine([random_walk(), random_walk()], np.ones(2))

@@ -107,25 +107,42 @@ class TestResume:
         assert list(map(_epoch_key, resumed.epochs)) == list(map(_epoch_key, tail))
         assert all(not e.recovered for e in resumed.epochs)
 
-    def test_parent_shape_scalar_checkpoint_still_resumes_bitwise(self, tmp_path):
+    def test_legacy_scalar_checkpoint_is_refused(self, tmp_path):
         """Scalar checkpoints written before the reference engine existed
         keep their per-policy snapshots in a top-level ``"policies"`` dict
-        keyed by stream id (no ``"engine"`` entry); they must still resume."""
+        (no ``"engine"`` entry). They are refused, not migrated: recovery
+        falls back past them, and a store of nothing else fails."""
         store = CheckpointStore(tmp_path / "ckpt", retain=10, fsync=False)
         reference = _run("scalar", store=store)
+        generations = store.generations()
         legacy = CheckpointStore(tmp_path / "legacy", retain=10, fsync=False)
-        for info in store.generations():
+        mixed = CheckpointStore(tmp_path / "mixed", retain=10, fsync=False)
+        for info in generations:
             payload = store.read(info)
             snapshots = payload.pop("engine")["policies"]
             payload["policies"] = dict(zip(payload["stream_ids"], snapshots))
             legacy.save(payload, tick=info.tick, meta=info.meta)
+            kept = payload if info is generations[-1] else store.read(info)
+            mixed.save(kept, tick=info.tick, meta=info.meta)
 
-        resumed = _run("scalar", store=legacy, resume=True)
-        last = legacy.generations()[-1].meta["next_epoch"]
-        assert resumed.resumed_from_epoch == last
-        assert resumed.recovery.fallbacks == 0
-        tail = [e for e in reference.epochs if e.epoch >= last]
+        with pytest.raises(RecoveryError) as err:
+            _run("scalar", store=legacy, resume=True)
+        attempts = err.value.report.attempts
+        assert len(attempts) == len(generations)
+        assert all("CheckpointError" in a.error for a in attempts)
+        assert all("'engine'" in a.error for a in attempts)
+
+        # The newest generation is legacy; the dense one under it resumes.
+        resumed = _run("scalar", store=mixed, resume=True)
+        assert resumed.recovery.fallbacks == 1
+        assert "'engine'" in resumed.recovery.attempts[0].error
+        last = generations[-1].meta["next_epoch"]
+        assert resumed.resumed_from_epoch == generations[-2].meta["next_epoch"]
+        tail = [e for e in reference.epochs if e.epoch >= resumed.resumed_from_epoch]
         assert list(map(_epoch_key, resumed.epochs)) == list(map(_epoch_key, tail))
+        assert [e.recovered for e in resumed.epochs] == [
+            e.epoch < last for e in resumed.epochs
+        ]
 
     def test_resume_from_empty_store_is_cold_start(self, tmp_path):
         store = CheckpointStore(tmp_path / "ckpt", fsync=False)

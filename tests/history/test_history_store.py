@@ -300,20 +300,21 @@ class TestTelemetry:
         store.window_aggregate("s0", "max", 4)
         samples = parse_prometheus(tel.render_prometheus())
         assert samples[("repro_history_queries_total", (("kind", "point"),))] == 1
-        assert samples[("repro_history_queries_total", (("kind", "range"),))] == 3
+        assert samples[("repro_history_queries_total", (("kind", "range"),))] == 2
         assert samples[("repro_history_queries_total", (("kind", "aggregate"),))] == 1
         assert (
             samples[
                 ("repro_history_query_seconds_count", (("kind", "range"),))
             ]
-            == 3
+            == 2
         )
-        # 5 events for 4 calls: window_aggregate records its member fetch too.
+        # One event per call: window_aggregate's member fetch is not a query.
         events = tel.tracer.events(tracing.HISTORY_QUERY)
-        assert [e.tick for e in events] == [1, 2, 3, 4, 5]
+        assert [e.tick for e in events] == [1, 2, 3, 4]
         assert dict(events[1].fields) == {"query": "range", "rows": 11}
         assert dict(events[2].fields) == {"query": "range", "rows": 11}
-        assert [dict(e.fields)["query"] for e in events[3:]] == ["range", "aggregate"]
+        assert dict(events[3].fields) == {"query": "aggregate", "rows": 4}
+        assert store.queries == 4
         assert samples[
             ("repro_span_entries_total", (("span", "history.range"),))
         ] == 2

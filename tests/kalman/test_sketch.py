@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.manager import FleetEngine, ManagedStream, StreamResourceManager
+from repro.durability.codec import dumps_payload
 from repro.errors import ConfigurationError
 from repro.kalman import SketchConfig, models, sketch_matrix
 from repro.kalman.batch import BatchKalmanFilter
@@ -373,13 +374,18 @@ class TestEngineWiring:
             clone2.filters.n_censored, engine.filters.n_censored
         )
 
-    def test_restore_tolerates_pre_censor_snapshots(self):
+    def test_restore_refuses_pre_censor_snapshots(self):
         ms = _mixed_fleet(1, 1)
-        engine = FleetEngine(ms, np.full(2, 0.5))
+        engine = FleetEngine(ms, np.full(2, 0.5), censor_threshold=0.5)
+        rng = np.random.default_rng(3)
+        engine.run(rng.normal(size=(20, 2, engine.filters.dim_z_max)))
         snap = engine.state_snapshot()
-        del snap["n_censored"]  # a checkpoint from before this PR
-        engine.restore_state(snap)
-        assert engine.filters.n_censored.tolist() == [0, 0]
+        untouched = dumps_payload(snap)
+        del snap["n_censored"]  # a checkpoint from before censoring existed
+        # A partial restore would rewind the tick clock; none happens.
+        with pytest.raises(ConfigurationError, match="n_censored"):
+            engine.restore_state({**snap, "ticks": 0})
+        assert dumps_payload(engine.state_snapshot()) == untouched
 
 
 class TestManagerWiring:

@@ -133,8 +133,6 @@ class TestRuntimeEquivalence:
         with pytest.raises(ConfigurationError):
             ShardedFleetRuntime(models, np.ones(4), executor="fiber")
         with pytest.raises(ConfigurationError):
-            ShardedFleetRuntime(models, np.ones(4), norm="l1")
-        with pytest.raises(ConfigurationError):
             ShardedFleetRuntime(models, np.ones(4), chunk_ticks=0)
         with pytest.raises(ConfigurationError):
             ShardedFleetRuntime(

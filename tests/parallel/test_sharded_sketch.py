@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.core.manager import FleetEngine
-from repro.durability import CheckpointStore
+from repro.durability import CheckpointStore, dumps_payload
+from repro.errors import ConfigurationError
 from repro.kalman import SketchConfig
 from repro.kalman.models import ProcessModel, constant_velocity, random_walk
 from repro.parallel import ShardedFleetRuntime
@@ -176,7 +177,7 @@ class TestApproxStateRoundtrip:
             snap["n_censored"], reference.filters.n_censored
         )
 
-    def test_pre_censor_snapshot_restores_with_zero_counts(self):
+    def test_pre_censor_snapshot_refused(self):
         models = _models(4)
         deltas = np.full(4, 0.8)
         with ShardedFleetRuntime(
@@ -184,10 +185,11 @@ class TestApproxStateRoundtrip:
         ) as rt:
             rt.run(_values(models, 40))
             snap = rt.state_snapshot()
-        del snap["n_censored"]  # a snapshot taken before this PR
+        del snap["n_censored"]  # a snapshot taken before censoring existed
         with ShardedFleetRuntime(
             models, deltas, n_shards=2, executor="serial"
         ) as rt2:
-            rt2.restore_state(snap)
-            final = rt2.state_snapshot()
-        assert final["n_censored"].tolist() == [0, 0, 0, 0]
+            untouched = dumps_payload(rt2.state_snapshot())
+            with pytest.raises(ConfigurationError, match="n_censored"):
+                rt2.restore_state(snap)
+            assert dumps_payload(rt2.state_snapshot()) == untouched
