@@ -173,6 +173,10 @@ def variance_bound(bounds: list[float], values: list[float]) -> float:
     For v(x) = mean(x²) − mean(x)², perturbing x_i by e_i with |e_i| ≤ b_i
     changes v by at most Σ_i (2/n)·|x_i − x̄|·b_i + (Σ b_i / n)·(2·max b +
     Σ b / n) — the first-order term plus a conservative quadratic remainder.
+
+    Values near the float range overflow the mean, and ``inf · 0`` makes
+    the first-order term NaN; a bound that cannot be computed is
+    unbounded, so that case returns ``inf``, never a NaN bound.
     """
     arr = np.asarray(_validated(bounds))
     vals = np.asarray(values, dtype=float)
@@ -183,7 +187,8 @@ def variance_bound(bounds: list[float], values: list[float]) -> float:
     first_order = float(np.sum(2.0 * centered * arr) / n)
     mean_b = float(np.sum(arr) / n)
     quadratic = mean_b * (2.0 * float(np.max(arr)) + mean_b)
-    return first_order + quadratic
+    bound = first_order + quadratic
+    return bound if bound == bound else float("inf")
 
 
 def linear_map_bound(scale: float, bound: float) -> float:

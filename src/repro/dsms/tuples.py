@@ -19,7 +19,7 @@ from repro.errors import QueryError
 __all__ = ["StreamTuple", "served_ticks", "stream_tuples"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamTuple:
     """One value flowing through a continuous query.
 
@@ -38,7 +38,8 @@ class StreamTuple:
     bound: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bound < 0:
+        # NaN fails every comparison, so test for the good range.
+        if not self.bound >= 0:
             raise QueryError(f"bound must be non-negative, got {self.bound!r}")
 
     @property
@@ -61,29 +62,43 @@ class StreamTuple:
         )
 
 
+_new = object.__new__
+_set_t = StreamTuple.t.__set__
+_set_stream_id = StreamTuple.stream_id.__set__
+_set_value = StreamTuple.value.__set__
+_set_bound = StreamTuple.bound.__set__
+
+
+def trusted_tuple(t: float, stream_id: str, value: float, bound: float) -> StreamTuple:
+    """``StreamTuple(t, stream_id, value, bound)`` without the bound check.
+
+    For callers that validated ``bound`` already (the serving ring checks
+    every δ once, at construction).  It sets the four slots through
+    their descriptors, skipping the frozen ``__init__``'s
+    ``object.__setattr__`` calls and ``__post_init__``: half the cost of
+    the constructor, and an equal tuple.
+    """
+    tup = _new(StreamTuple)
+    _set_t(tup, t)
+    _set_stream_id(tup, stream_id)
+    _set_value(tup, value)
+    _set_bound(tup, bound)
+    return tup
+
+
 def stream_tuples(stream_id: str, rows) -> tuple[StreamTuple, ...]:
     """``StreamTuple(t, stream_id, value, bound)`` per ``(t, value, bound)`` row.
 
     The bulk constructor of read paths that rebuild hundreds of tuples
-    per answer.  It fills each instance's ``__dict__`` directly (the
-    :func:`functools.cached_property` idiom), skipping the frozen
-    ``__init__``'s four ``object.__setattr__`` calls, which were half of
-    an archived range read.  A negative ``bound`` still goes through the
-    real constructor, so it raises the same
-    :class:`~repro.errors.QueryError`.
+    per answer, through :func:`trusted_tuple`.  A negative or NaN
+    ``bound`` still goes through the real constructor, so it raises the
+    same :class:`~repro.errors.QueryError`.
     """
-    new = object.__new__
     out = []
     for t, value, bound in rows:
-        if bound < 0:
+        if not bound >= 0:
             StreamTuple(t, stream_id, value, bound)
-        tup = new(StreamTuple)
-        fields = tup.__dict__
-        fields["t"] = t
-        fields["stream_id"] = stream_id
-        fields["value"] = value
-        fields["bound"] = bound
-        out.append(tup)
+        out.append(trusted_tuple(t, stream_id, value, bound))
     return tuple(out)
 
 

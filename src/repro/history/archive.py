@@ -25,20 +25,30 @@ freely), closed by the batch's SHA-256 manifest of the rows it inserted.
 from __future__ import annotations
 
 import hashlib
-import math
 import sqlite3
-from itertools import groupby
+import struct
+from itertools import chain, groupby
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from repro.dsms.tuples import StreamTuple, served_ticks
+from repro.dsms.tuples import StreamTuple, served_ticks, trusted_tuple
 from repro.errors import HistoryError
 from repro.history.db import ROW, G, connect
 from repro.obs import tracing
 from repro.obs.telemetry import resolve_telemetry
 
 __all__ = ["ArchiveWriter"]
+
+#: Rows per multi-row insert: four parameters a row plus the batch
+#: number is 513, under SQLite's oldest 999-parameter limit.
+CHUNK = 128
+_INSERT_CHUNK = "INSERT OR IGNORE INTO archive VALUES " + ", ".join(
+    f"(?{k + 1}/{G}, ?{k + 2}, ?{k + 1}%{G}, ?{k + 3}, ?{k + 4}, ?{4 * CHUNK + 1})"
+    for k in range(0, 4 * CHUNK, 4)
+)
+_INSERT_ROW = f"INSERT OR IGNORE INTO archive VALUES (?1/{G}, ?2, ?1%{G}, ?3, ?4, ?5)"
 
 
 class ArchiveWriter:
@@ -67,7 +77,7 @@ class ArchiveWriter:
         if not bounds:
             raise HistoryError("an archive writer needs at least one stream bound")
         for sid, delta in bounds.items():
-            if not (delta >= 0 and math.isfinite(delta)):
+            if not (delta >= 0 and isfinite(delta)):
                 raise HistoryError(
                     f"bound for {sid!r} must be finite and >= 0, got {delta!r}"
                 )
@@ -102,33 +112,45 @@ class ArchiveWriter:
     def ingest(
         self, stream_id: str, t: float, value: float, bound: float | None = None
     ) -> None:
-        """Buffer one served scalar; flushes when the batch fills."""
+        """Buffer one served scalar; flushes when the batch fills.
+
+        ``bound`` defaults to the stream's δ; the row is checked as
+        :meth:`ingest_tuple` checks a tuple.
+        """
+        if bound is None:
+            bound = self.bounds.get(stream_id, 0.0)  # unknown: refused below
+        self.ingest_tuple(trusted_tuple(float(t), stream_id, float(value), float(bound)))
+
+    def ingest_tuple(self, tup: StreamTuple) -> None:
+        """Buffer one :class:`StreamTuple`, keeping its own bound.
+
+        The eviction hook :meth:`attach_evictions` installs, so it is
+        called once per evicted reading: every check is inline, and each
+        raises :class:`HistoryError` before anything is buffered.
+        """
         if self._closed:
             raise HistoryError("archive writer is closed")
-        key = self._keys.get(stream_id)
+        key = self._keys.get(tup.stream_id)
         if key is None:
             raise HistoryError(
-                f"unknown stream {stream_id!r}; known: {sorted(self.bounds)}"
+                f"unknown stream {tup.stream_id!r}; known: {sorted(self.bounds)}"
             )
         # ``+ 0.0`` turns -0.0 into the 0.0 SQLite stores, so the
         # manifest hashes exactly what the table holds.
-        t = float(t) + 0.0
-        value = float(value) + 0.0
-        b = float(self.bounds[stream_id] if bound is None else bound) + 0.0
+        t = tup.t + 0.0
+        value = tup.value + 0.0
+        b = tup.bound + 0.0
         # SQLite REAL cannot represent non-finite values (NaN becomes
         # NULL); a non-finite served value is a feed bug, reject loudly.
-        if not math.isfinite(value) or not math.isfinite(t) or not (b >= 0 and math.isfinite(b)):
+        if not (isfinite(value) and isfinite(t) and b >= 0 and isfinite(b)):
             raise HistoryError(
-                f"cannot archive non-finite row ({stream_id!r}, t={t!r}, "
+                f"cannot archive non-finite row ({tup.stream_id!r}, t={t!r}, "
                 f"value={value!r}, bound={b!r})"
             )
-        self._buffer.append((key, t, value, b))
-        if len(self._buffer) >= self.batch_size:
+        buffer = self._buffer
+        buffer.append((key, t, value, b))
+        if len(buffer) >= self.batch_size:
             self.flush()
-
-    def ingest_tuple(self, tup: StreamTuple) -> None:
-        """Buffer one :class:`StreamTuple`, keeping its own bound."""
-        self.ingest(tup.stream_id, tup.t, tup.value, bound=tup.bound)
 
     def archive_fleet(
         self,
@@ -208,27 +230,34 @@ class ArchiveWriter:
                     "SELECT COALESCE(MAX(batch), 0) + 1 FROM batches"
                 ).fetchone()
                 before = conn.total_changes
-                conn.executemany(
-                    f"INSERT OR IGNORE INTO archive VALUES (?1/{G}, ?2, ?1%{G}, ?3, ?4, {batch})",
-                    rows,
-                )
+                # Whole chunks go as one statement each, the rest row by
+                # row; both are compiled once per connection, the batch
+                # number being a parameter.
+                flat = list(chain.from_iterable(rows))
+                whole = len(rows) - len(rows) % CHUNK
+                for i in range(0, 4 * whole, 4 * CHUNK):
+                    chunk = flat[i : i + 4 * CHUNK]
+                    chunk.append(batch)
+                    conn.execute(_INSERT_CHUNK, chunk)
+                conn.executemany(_INSERT_ROW, [r + (batch,) for r in rows[whole:]])
                 inserted = conn.total_changes - before
+                if inserted == len(rows):  # every row is new: ROW per row, in one call
+                    packed = struct.pack("<" + ROW.format[1:] * len(rows), *flat)
+                elif inserted:  # some offers were ignored:
+                    mine = []  # re-read this batch's own rows, per group
+                    for grp, group in groupby(rows, lambda r: r[0] // G):
+                        group = list(group)
+                        mine += conn.execute(
+                            f"SELECT grp * {G} + sub, t, value, bound "
+                            "FROM archive WHERE grp = ? AND t BETWEEN ? AND ? "
+                            "AND batch = ? ORDER BY t, sub",
+                            (grp, group[0][1], group[-1][1], batch),
+                        ).fetchall()
+                    packed = b"".join([ROW.pack(*r) for r in mine])
                 if inserted:
-                    mine = rows
-                    if inserted < len(rows):  # some offers were ignored:
-                        mine = []  # re-read this batch's own rows, per group
-                        for grp, group in groupby(rows, lambda r: r[0] // G):
-                            group = list(group)
-                            mine += conn.execute(
-                                f"SELECT grp * {G} + sub, t, value, bound "
-                                "FROM archive WHERE grp = ? AND t BETWEEN ? AND ? "
-                                "AND batch = ? ORDER BY t, sub",
-                                (grp, group[0][1], group[-1][1], batch),
-                            ).fetchall()
-                    digest = hashlib.sha256(b"".join([ROW.pack(*r) for r in mine]))
                     conn.execute(
                         "INSERT INTO batches VALUES (?, ?, ?)",
-                        (batch, inserted, digest.hexdigest()),
+                        (batch, inserted, hashlib.sha256(packed).hexdigest()),
                     )
         except sqlite3.Error as exc:
             self._buffer[:0] = rows

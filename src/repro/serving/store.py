@@ -34,7 +34,7 @@ from operator import attrgetter
 import numpy as np
 
 from repro.dsms.operators import replay_aggregate
-from repro.dsms.tuples import StreamTuple, served_ticks
+from repro.dsms.tuples import StreamTuple, served_ticks, trusted_tuple
 from repro.errors import ServingError
 from repro.serving.requests import require_count
 
@@ -138,7 +138,7 @@ class ServingStore:
             )
         if len(ring) == ring.maxlen and self.on_evict is not None:
             self.on_evict(ring[0])  # before the drop: a raise loses nothing
-        ring.append(StreamTuple(t, stream_id, value, delta))
+        ring.append(trusted_tuple(t, stream_id, value, delta))  # δ checked in __init__
         self.version += 1
 
     def advance_tick(self) -> int:

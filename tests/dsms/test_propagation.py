@@ -6,6 +6,8 @@ values must stay within the propagated bound of the aggregate over the
 originals.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,15 @@ class TestEmpiricalSoundness:
         tight = variance_bound([0.1, 0.1], values)
         loose = variance_bound([1.0, 1.0], values)
         assert loose > tight
+
+    def test_variance_bound_is_never_nan(self):
+        # The mean of these values overflows, and inf * 0 would make the
+        # first-order term NaN; a bound that cannot be computed is inf.
+        values = [0.0, 0.0, 1.348269851146737e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert variance_bound([0.0, 0.0, 0.0], values) == float("inf")
+            assert aggregate_bound("var", [0.0, 0.5, 0.0], values) == float("inf")
 
     def test_variance_misaligned_rejected(self):
         with pytest.raises(QueryError):

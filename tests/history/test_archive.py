@@ -8,6 +8,7 @@ the residue, and ``INSERT OR IGNORE`` dedup makes overlapping feeds
 combined no-tuple-lost regression.
 """
 
+import dataclasses
 import hashlib
 import os
 import sqlite3
@@ -533,3 +534,160 @@ class TestClusterLayout:
         (_, frames, _) = conn.execute("PRAGMA wal_checkpoint(PASSIVE)").fetchone()
         writer.close()
         assert 0 < frames < 0.6 * streams
+
+
+def _committed_manifest(db, batch):
+    conn = sqlite3.connect(db)
+    try:
+        return conn.execute(
+            "SELECT rows, sha256 FROM batches WHERE batch = ?", (batch,)
+        ).fetchone()
+    finally:
+        conn.close()
+
+
+class TestChunkedFlush:
+    """Multi-row chunks of CHUNK rows commit what row-by-row inserts did."""
+
+    STREAMS = 8
+    #: Committed before the flush under test, then offered again.
+    COMMITTED = ("s7", 1e6, 5.0)
+
+    def _offers(self, n, dups, keys):
+        """``n`` offers; with ``dups``, a re-offer of COMMITTED and a second
+        offer of the row sorted at position 127, so that for n > 128 the
+        two offers of one row sit on either side of the first chunk's end."""
+        extra = [(*self.COMMITTED[:2], 99.0)] if dups else []
+        twice = dups and n >= 3
+        rows = [(f"s{j % self.STREAMS}", float(j // self.STREAMS), j * 0.5)
+                for j in range(n - len(extra) - twice)] + extra
+        if twice:
+            def order(row):
+                key = keys[row[0]]
+                return (key // G, row[1], key % G)
+            sid, t, _ = sorted(rows, key=order)[min(127, n - 2)]
+            rows.append((sid, t, -7.0))
+        assert len(rows) == n
+        return rows
+
+    @pytest.mark.parametrize("dups", [False, True], ids=["fresh", "dups"])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 257])
+    def test_flush_matches_the_row_by_row_formula(self, db, n, dups):
+        bounds = {f"s{i}": 0.25 * (i + 1) for i in range(self.STREAMS)}
+        writer = ArchiveWriter(db, bounds, batch_size=10_000)
+        writer.ingest(*self.COMMITTED)
+        assert writer.flush() == 1
+        keys = dict(writer._conn.execute("SELECT stream_id, stream_key FROM streams"))
+        offers = self._offers(n, dups, keys)
+        for sid, t, value in offers:
+            writer.ingest(sid, t, value)
+        # The old formula: first offers of rows not yet committed, in
+        # (grp, t, sub) order, hashed ROW by ROW.
+        seen = {(keys[self.COMMITTED[0]], self.COMMITTED[1])}
+        kept = []
+        for sid, t, value in offers:
+            if (keys[sid], t) not in seen:
+                seen.add((keys[sid], t))
+                kept.append((keys[sid], t, value, bounds[sid]))
+        kept.sort(key=lambda r: (r[0] // G, r[1], r[0] % G))
+        assert writer.flush() == len(kept)
+        assert writer.rows_written == 1 + len(kept)
+        stored = writer._conn.execute(
+            f"SELECT grp * {G} + sub, t, value, bound FROM archive WHERE batch = 2 "
+            "ORDER BY grp, t, sub"
+        ).fetchall()
+        writer.close()
+        assert stored == kept
+        if kept:
+            digest = hashlib.sha256(b"".join(struct.pack("<qddd", *r) for r in kept))
+            assert _committed_manifest(db, 2) == (len(kept), digest.hexdigest())
+        with HistoryStore(db) as store:
+            assert store.audit() == 1 + len(kept)
+
+
+def _attached(writer, store):
+    writer.attach_evictions(store)
+    return store
+
+
+#: The two ways a ring hands its evictions to a writer.
+FEEDS = {
+    "attach_evictions": lambda writer, bounds: _attached(
+        writer, ServingStore(bounds, history=2)
+    ),
+    "on_evict": lambda writer, bounds: ServingStore(
+        bounds, history=2, on_evict=writer.ingest_tuple
+    ),
+}
+
+
+def _ring_state(store):
+    return [list(store._rings[sid]) for sid in store.stream_ids()], store.version
+
+
+@pytest.mark.parametrize("feed", sorted(FEEDS))
+class TestEvictionHandOff:
+    """``ingest_tuple`` as the eviction hook: every refusal is a diagnosed
+    HistoryError raised before the ring, its version or the buffer move."""
+
+    @pytest.mark.parametrize("field, bad", [
+        ("value", float("nan")), ("value", float("inf")),
+        ("t", float("nan")), ("t", -float("inf")),
+    ])
+    def test_non_finite_row_refused(self, db, feed, field, bad):
+        writer = ArchiveWriter(db, {"s": 0.5})
+        store = FEEDS[feed](writer, {"s": 0.5})
+        store.ingest("s", 0.0, 1.0)
+        store.ingest("s", 1.0, 2.0)
+        # The ring refuses non-finite input, so corrupt it behind its back.
+        ring = store._rings["s"]
+        ring[0] = dataclasses.replace(ring[0], **{field: bad})
+        before = _ring_state(store)
+        with pytest.raises(HistoryError, match="cannot archive non-finite row"):
+            store.ingest("s", 2.0, 3.0)
+        assert _ring_state(store) == before and writer.pending == 0
+        writer.close()
+
+    def test_unknown_stream_refused(self, db, feed):
+        writer = ArchiveWriter(db, {"s": 0.5})
+        bounds = {"s": 0.5, "u": 0.25}
+        if feed == "attach_evictions":
+            store = ServingStore(bounds, history=2)
+            with pytest.raises(HistoryError, match=r"\['u'\] are not registered"):
+                writer.attach_evictions(store)
+            assert store.on_evict is None and store.version == 0
+        else:
+            store = FEEDS[feed](writer, bounds)
+            store.ingest("u", 0.0, 1.0)
+            store.ingest("u", 1.0, 2.0)
+            before = _ring_state(store)
+            with pytest.raises(HistoryError, match="unknown stream 'u'"):
+                store.ingest("u", 2.0, 3.0)
+            assert _ring_state(store) == before and writer.pending == 0
+        writer.close()
+
+    def test_closed_writer_refused(self, db, feed):
+        writer = ArchiveWriter(db, {"s": 0.5})
+        store = FEEDS[feed](writer, {"s": 0.5})
+        store.ingest("s", 0.0, 1.0)
+        store.ingest("s", 1.0, 2.0)
+        writer.close()
+        before = _ring_state(store)
+        with pytest.raises(HistoryError, match="closed"):
+            store.ingest("s", 2.0, 3.0)
+        assert _ring_state(store) == before
+
+    def test_negative_zero_archived_as_zero(self, db, feed):
+        writer = ArchiveWriter(db, {"s": -0.0})
+        store = FEEDS[feed](writer, {"s": -0.0})
+        for t, value in ((-0.0, -0.0), (1.0, 2.0), (2.0, 3.0)):
+            store.ingest("s", t, value)
+        assert writer.flush() == 1
+        (row,) = writer._conn.execute("SELECT t, value, bound FROM archive").fetchall()
+        writer.close()
+        assert struct.pack("<ddd", *row) == struct.pack("<ddd", 0.0, 0.0, 0.0)
+        # The first stream a fresh archive registers has stream_key 1.
+        digest = hashlib.sha256(struct.pack("<qddd", 1, 0.0, 0.0, 0.0))
+        assert _committed_manifest(db, 1) == (1, digest.hexdigest())
+        with HistoryStore(db) as store:
+            assert store.audit() == 1

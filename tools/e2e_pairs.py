@@ -4,6 +4,7 @@ Usage (from the repository root)::
 
     python3 tools/e2e_pairs.py --parent HEAD --pairs 10 --workload serve_live --seed 7 31
     python3 tools/e2e_pairs.py --parent HEAD~1 --pairs 1 --quick --seconds 2
+    python3 tools/e2e_pairs.py --parent HEAD --pairs 10 --workdir /dev/shm/e2e
 
 The parent's committed files are unpacked with ``git archive`` into
 ``.bench_work/parent-<sha>/`` (no worktree is registered, nothing under
@@ -13,6 +14,12 @@ parent first in even pairs, change first in odd ones — and then
 ``benchmarks/e2e/compare.py --parent ... --change ...`` judges the seed's runs.
 Last, the tool prints how many pairs the change won per end-to-end metric and
 the two records (parent, change) to append to ``BENCH_e2e.json``.
+
+Both sides' ``run.py`` get the same ``--workdir``, the directory their archives
+and checkpoints live in: by default the results directory under
+``.bench_work/``, with ``--workdir DIR`` any other (a tmpfs such as
+``/dev/shm/e2e`` takes the device out of the flush).  Each record notes
+``workdir_tmpfs``; compare tmpfs records only with tmpfs records.
 
 This tool calls the benchmark; it does not edit it.  Exit status is 2 when a
 run failed or answered incorrectly, else 1 when ``compare.py`` reports a
@@ -65,7 +72,7 @@ def run_once(tree: Path, out: Path, workload: str, seed: int, args) -> bool:
     command = [
         sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
         "--workload", workload, "--seed", str(seed), "--seconds", str(args.seconds),
-        "--out", str(out), "--workdir", str(out.parent / "work"),
+        "--out", str(out), "--workdir", str(args.workdir or out.parent / "work"),
     ] + (["--quick"] if args.quick else [])
     done = subprocess.run(command, cwd=tree, stdout=subprocess.DEVNULL)
     if done.returncode != 0 or not out.is_file():
@@ -127,6 +134,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, nargs="+", default=[7])
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--quick", action="store_true")
+    parser.add_argument("--workdir", type=Path, default=None,
+                        help="run.py's --workdir for both sides "
+                             "(default: the results directory under .bench_work)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
